@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +71,14 @@ def sample_configuration(model: DisorderModel, index: int) -> EnsembleSpec:
     return EnsembleSpec(beta=beta, phase=phase, shift=np.zeros(model.n_atoms))
 
 
-def _chunk_sums(model, observable, start, stop, shape, dtype):
-    block = np.empty((stop - start,) + shape, dtype=dtype)
+def _chunk_sums(model, observable, start, stop, first):
+    block = np.empty((stop - start,) + first.shape, dtype=first.dtype)
     for k, index in enumerate(range(start, stop)):
-        value = np.asarray(observable(sample_configuration(model, index)))
-        if value.shape != shape:
+        value = first if index == 0 else np.asarray(observable(sample_configuration(model, index)))
+        if value.shape != first.shape:
             raise ValueError(
                 f"observable shape changed: configuration {index} returned {value.shape}, "
-                f"expected {shape}"
+                f"expected {first.shape}"
             )
         block[k] = value
     return np.sum(block, axis=0), np.sum(np.abs(block) ** 2, axis=0)
@@ -87,9 +88,10 @@ def average_observable(model: DisorderModel, n_configs: int, observable,
                        n_workers: int = 1, chunk_size: int = None):
     """Mean and standard error of an array-valued observable over disorder.
 
-    observable maps an EnsembleSpec to an array of fixed shape.  Results
-    are independent of n_workers and of evaluation order by construction:
-    the chunk layout depends only on n_configs.
+    observable maps an EnsembleSpec to an array of fixed shape and is called
+    exactly once per configuration.  Results are independent of n_workers
+    and of evaluation order by construction: the chunk layout depends only
+    on n_configs.
     """
     n_configs = int(n_configs)
     if n_configs < 1:
@@ -97,24 +99,22 @@ def average_observable(model: DisorderModel, n_configs: int, observable,
     if chunk_size is None:
         chunk_size = max(1, min(CHUNK_SIZE, -(-n_configs // 32)))
     first = np.asarray(observable(sample_configuration(model, 0)))
-    shape, dtype = first.shape, first.dtype
-
+    shape = first.shape
     bounds = [(s, min(s + chunk_size, n_configs)) for s in range(0, n_configs, chunk_size)]
 
     def run(bound):
-        return _chunk_sums(model, observable, bound[0], bound[1], shape, dtype)
+        return _chunk_sums(model, observable, bound[0], bound[1], first)
 
-    if n_workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=int(n_workers)) as pool:
-            partials = list(pool.map(run, bounds))
-    else:
-        partials = [run(b) for b in bounds]
-
-    total = np.zeros(shape, dtype=partials[0][0].dtype)
-    total_sq = np.zeros(shape)
-    for part_sum, part_sq in partials:  # sequential, fixed chunk order
-        total = total + part_sum
-        total_sq = total_sq + part_sq
+    # Partials are folded as map yields them, in fixed chunk order, so only
+    # the running totals stay alive rather than every chunk's sums.
+    parallel = n_workers > 1 and len(bounds) > 1
+    with ThreadPoolExecutor(max_workers=int(n_workers)) if parallel else nullcontext() as pool:
+        total = total_sq = None
+        for part_sum, part_sq in (pool.map if parallel else map)(run, bounds):
+            if total is None:
+                total, total_sq = np.zeros(shape, dtype=part_sum.dtype), np.zeros(shape)
+            total += part_sum
+            total_sq += part_sq
 
     mean = total / n_configs
     if n_configs > 1:

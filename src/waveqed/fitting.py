@@ -22,7 +22,7 @@ from .pulses import (
     synthesize_pulse,
     time_grid,
 )
-from .spectra import transfer_bidirectional, transfer_unidirectional
+from .spectra import RECURSION_EPS, TransferSpectrum, _recursion, transfer_unidirectional
 
 _UNITS = Units()
 SETTLE_DELAY = _UNITS.time_from_si(1e-9)       # skip the switch-off transient
@@ -157,6 +157,65 @@ class DirectionalDecay:
     backward: DecayFit
 
 
+GRID_MATCH_TOL = 1e-9  # fraction of a grid step within which carriers count as step-aligned
+
+
+def _shared_grids(pulses):
+    """Union detuning grids, each serving pulses whose grids are whole-step shifts.
+
+    The pulses share one time grid, so their detuning grids c + k h
+    (k = -G/2 .. G/2-1, h = 2 pi / (G dt)) differ only in the carrier c.  A
+    pulse joins the first group whose reference carrier lies a whole number
+    of steps away (to GRID_MATCH_TOL of a step) and whose union grid its own
+    grid overlaps; otherwise it starts a group of its own.  Returns one
+    (union grid, [(pulse index, start of its G-point slice)]) per group; the
+    grid follows the arithmetic of PulseWaveform.detunings with k extended.
+    """
+    n = pulses[0].t.size
+    inv_span = 1.0 / (n * pulses[0].dt)  # 1/(G dt), as numpy's fftfreq computes it
+    step = 2.0 * math.pi * inv_span
+    groups = []  # [reference carrier, first k, end k, [(pulse index, offset in steps)]]
+    for i, pulse in enumerate(pulses):
+        for group in groups:
+            shift = (pulse.carrier_detuning - group[0]) / step
+            offset = round(shift)
+            if (abs(shift - offset) <= GRID_MATCH_TOL
+                    and offset - n // 2 < group[2] and offset + n // 2 > group[1]):
+                group[1] = min(group[1], offset - n // 2)
+                group[2] = max(group[2], offset + n // 2)
+                group[3].append((i, offset))
+                break
+        else:
+            groups.append([pulse.carrier_detuning, -(n // 2), n // 2, [(i, 0)]])
+    return [(carrier + 2.0 * math.pi * (np.arange(lo, hi) * inv_span),
+             [(i, offset - n // 2 - lo) for i, offset in members])
+            for carrier, lo, hi, members in groups]
+
+
+def _directional_powers(pulses):
+    """Observable: forward and backward output power of every pulse, (n_pulses, 2, G).
+
+    Each configuration costs one two-way recursion per union grid of
+    _shared_grids; every pulse then reads its G-point slice of the
+    transmission and reflection.
+    """
+    groups = _shared_grids(pulses)
+    n = pulses[0].t.size
+
+    def observable(ens):
+        out = np.empty((len(pulses), 2, n))
+        for grid, members in groups:
+            _, t_prod, s, _ = _recursion(grid, ens, RECURSION_EPS, keep_state=False)
+            for i, start in members:
+                window = slice(start, start + n)
+                for row, amplitude in enumerate((t_prod, s)):
+                    medium = TransferSpectrum(grid[window], amplitude[window])
+                    out[i, row] = propagate_pulse(pulses[i], medium).power()
+        return out
+
+    return observable
+
+
 def backward_decay_sweep(od, detunings, beta=BETA_DEFAULT, n_configs=64, seed=0,
                          duration=DURATION_150NS, rise_fall=RISE_FALL_850PS,
                          photon_number=1.0, span=1024.0, grid_points=2 ** 14,
@@ -169,30 +228,25 @@ def backward_decay_sweep(od, detunings, beta=BETA_DEFAULT, n_configs=64, seed=0,
     the power traces are averaged, and each direction is fitted with the
     initial-rate protocol under its own window cap (forward decays are
     collective and fast, backward light decays near the intrinsic rate).
-    Power traces are symmetric under detuning sign flip, so sweeping
-    positive detunings covers |delta|.
+    Carriers a whole number of grid steps (2 span / grid_points) apart
+    share one recursion per configuration on their union grid.  Power
+    traces are symmetric under detuning sign flip, so sweeping positive
+    detunings covers |delta|.
     """
     n_atoms = od_to_atom_number(od, beta)
     model = DisorderModel(n_atoms=n_atoms, beta_mean=beta, seed=seed)
     t = time_grid(span, grid_points)
+    pulses = [synthesize_pulse(t, duration, rise_fall, carrier_detuning=float(carrier),
+                               photon_number=photon_number) for carrier in detunings]
+    mean, _ = average_observable(model, n_configs, _directional_powers(pulses),
+                                 n_workers=n_workers)
     results = []
-    for carrier in detunings:
-        pulse = synthesize_pulse(t, duration, rise_fall, carrier_detuning=float(carrier),
-                                 photon_number=photon_number)
-        delta = pulse.detunings()
-
-        def both_directions(ens, _pulse=pulse, _delta=delta):
-            t_spec, r_spec = transfer_bidirectional(_delta, ens)
-            forward = propagate_pulse(_pulse, t_spec).power()
-            backward = propagate_pulse(_pulse, r_spec).power()
-            return np.stack([forward, backward])
-
-        mean, _ = average_observable(model, n_configs, both_directions, n_workers=n_workers)
-        fwd = fit_initial_decay(pulse.t, mean[0], pulse.switch_off, forward_window,
+    for pulse, (forward, backward) in zip(pulses, mean):
+        fwd = fit_initial_decay(pulse.t, forward, pulse.switch_off, forward_window,
                                 settle_delay, fit_cycles)
-        bwd = fit_initial_decay(pulse.t, mean[1], pulse.switch_off, backward_window,
+        bwd = fit_initial_decay(pulse.t, backward, pulse.switch_off, backward_window,
                                 settle_delay, fit_cycles)
-        results.append(DirectionalDecay(float(carrier), fwd, bwd))
+        results.append(DirectionalDecay(pulse.carrier_detuning, fwd, bwd))
     return results
 
 

@@ -11,6 +11,7 @@ identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -164,22 +165,38 @@ def _require(cond, field, message):
         raise ConfigError(field, message)
 
 
+def _check_number(value, field, minimum=None, integer=False):
+    if integer:
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 field, f"expected an integer, got {value!r}")
+        value = int(value)
+    else:
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                 field, f"expected a number, got {value!r}")
+        value = float(value)
+        _require(math.isfinite(value), field, f"must be finite, got {value}")
+    if minimum is not None:
+        _require(value >= minimum, field, f"must be >= {minimum}, got {value}")
+    return value
+
+
 def _get_number(section, key, path, minimum=None, allow_none=False, integer=False):
     value = section.get(key)
     if value is None:
         _require(allow_none, f"{path}{key}", "value required")
         return None
-    if integer:
-        _require(isinstance(value, int) and not isinstance(value, bool),
-                 f"{path}{key}", f"expected an integer, got {value!r}")
-        value = int(value)
-    else:
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 f"{path}{key}", f"expected a number, got {value!r}")
-        value = float(value)
-    if minimum is not None:
-        _require(value >= minimum, f"{path}{key}", f"must be >= {minimum}, got {value}")
-    return value
+    return _check_number(value, f"{path}{key}", minimum, integer)
+
+
+def _get_numbers(section, key, path, what, minimum=None, integer=False):
+    """Non-empty list field, each element checked as _get_number checks a scalar."""
+    values = section.get(key)
+    if values is None:
+        return None
+    _require(isinstance(values, (list, tuple)) and len(values) > 0,
+             f"{path}{key}", f"expected a non-empty list of {what}")
+    return tuple(_check_number(v, f"{path}{key}[{i}]", minimum, integer)
+                 for i, v in enumerate(values))
 
 
 def _check_keys(section, allowed, path):
@@ -229,17 +246,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     detuning = merged.get("detuning")
     if detuning is not None:
         detuning = _get_number(merged, "detuning", "")
-    detunings = merged.get("detunings")
-    if detunings is not None:
-        _require(isinstance(detunings, (list, tuple)) and len(detunings) > 0,
-                 "detunings", "expected a non-empty list of numbers")
-        detunings = tuple(float(v) for v in detunings)
-    od_values = merged.get("od_values")
-    if od_values is not None:
-        _require(isinstance(od_values, (list, tuple)) and len(od_values) > 0,
-                 "od_values", "expected a non-empty list of numbers")
-        od_values = tuple(float(v) for v in od_values)
-        _require(all(v >= 0 for v in od_values), "od_values", "optical depths must be >= 0")
+    detunings = _get_numbers(merged, "detunings", "", "numbers")
+    od_values = _get_numbers(merged, "od_values", "", "optical depths", minimum=0.0)
 
     if scenario == "fig3":
         _require(od_values is not None, "od_values", "required for fig3")
@@ -287,12 +295,9 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _require(isinstance(directory, str) and directory, "output.directory",
              "expected a non-empty path")
     time_stride = _get_number(output, "time_stride", "output.", minimum=1, integer=True)
-    trace_atoms = output.get("trace_atoms")
-    _require(isinstance(trace_atoms, (list, tuple)) and len(trace_atoms) > 0,
-             "output.trace_atoms", "expected a non-empty list of 1-based atom numbers")
-    trace_atoms = tuple(int(a) for a in trace_atoms)
-    _require(all(a >= 1 for a in trace_atoms), "output.trace_atoms",
-             "atom numbers are 1-based")
+    trace_atoms = _get_numbers(output, "trace_atoms", "output.", "1-based atom numbers",
+                               minimum=1, integer=True)
+    _require(trace_atoms is not None, "output.trace_atoms", "value required")
 
     threads = _get_number(merged, "threads", "", minimum=1, integer=True)
 

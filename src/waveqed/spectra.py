@@ -31,16 +31,22 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _validate_grid(values, name="detuning grid"):
+def _uniform_grid(values, name="detuning grid"):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not _is_power_of_two(values.size):
-        raise ValueError(f"{name} length must be a power of two, got {values.size}")
     if values.size > 1:
         steps = np.diff(values)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError(f"{name} must be uniform and increasing")
+    return values
+
+
+def _validate_grid(values, name="detuning grid"):
+    """A uniform increasing grid whose length is a power of two (an FFT grid)."""
+    values = _uniform_grid(values, name)
+    if not _is_power_of_two(values.size):
+        raise ValueError(f"{name} length must be a power of two, got {values.size}")
     return values
 
 
@@ -151,7 +157,9 @@ class BidirectionalState:
 
 
 def _recursion(delta, ensemble, eps, keep_state):
-    delta = _validate_grid(delta)
+    # Any uniform increasing grid: only the FFT needs a power-of-two length,
+    # so callers may evaluate one union grid for several pulse grids.
+    delta = _uniform_grid(delta)
     n_atoms = ensemble.n_atoms
     base = 0.5 + 1j * delta
     s = np.zeros(delta.size, dtype=complex)
@@ -166,7 +174,9 @@ def _recursion(delta, ensemble, eps, keep_state):
         # ratio = (beta_n + beta_n s e^{-i theta}) / (1/2 + i(delta-shift) + ...)
         ratio = (b * e_plus.conjugate()) * s
         den = ratio + base if ensemble.shift[n] == 0.0 else ratio + base - 1j * ensemble.shift[n]
-        if eps > 0:
+        # |den| >= |Re den|, so a passing screen proves no point is degenerate;
+        # only a failing one pays for the exact moduli.
+        if eps > 0 and float(np.abs(den.real).min()) < eps:
             den_mod = np.abs(den)
             small_min = float(den_mod.min())
             if small_min < eps:
@@ -209,13 +219,13 @@ def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
     Degenerate denominators (modulus < eps) trigger a
     DegenerateDenominatorWarning; the values are still computed.
     """
-    delta, t_prod, s, _ = _recursion(delta, ensemble, eps, keep_state=False)
+    delta, t_prod, s, _ = _recursion(_validate_grid(delta), ensemble, eps, keep_state=False)
     return TransferSpectrum(delta, t_prod), TransferSpectrum(delta, s)
 
 
 def bidirectional_state(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS) -> BidirectionalState:
     """Materialized per-atom recursion ratios (for small ensembles)."""
-    _, _, _, state = _recursion(delta, ensemble, eps, keep_state=True)
+    _, _, _, state = _recursion(_validate_grid(delta), ensemble, eps, keep_state=True)
     return state
 
 

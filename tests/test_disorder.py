@@ -100,6 +100,19 @@ class TestAveraging:
         assert np.array_equal(mean1, mean3)
         assert np.array_equal(err1, err3)
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_observable_called_once_per_configuration(self, n_workers):
+        model = DisorderModel(n_atoms=3, seed=4)
+        seen = []
+
+        def observable(ens):
+            seen.append(float(ens.phase[0]))
+            return ens.phase
+
+        average_observable(model, 70, observable, n_workers=n_workers)
+        assert sorted(seen) == sorted(float(sample_configuration(model, i).phase[0])
+                                      for i in range(70))
+
     def test_stderr_scales_inverse_sqrt(self):
         model = DisorderModel(n_atoms=10, beta_mean=0.1, seed=3)
         observable = reflectivity_observable(detuning_grid(4.0, 1))

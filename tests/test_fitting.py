@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from waveqed import (
+    DisorderModel,
     Units,
+    average_observable,
     backward_decay_sweep,
     fit_initial_decay,
     fit_pulse_decay,
+    propagate_pulse,
     residual_spectrum,
     resonant_od,
+    synthesize_pulse,
+    time_grid,
+    transfer_bidirectional,
 )
+from waveqed import fitting
 
 UNITS = Units()
 NS = UNITS.time_from_si(1e-9)
@@ -123,3 +130,83 @@ class TestBackwardSweep:
                                      duration=3.0, rise_fall=0.2)
         assert sweep[0].forward.rate == pytest.approx(1.0, rel=5e-3)
         assert sweep[0].backward.rate == pytest.approx(1.0, rel=5e-3)
+
+
+# Small sweep: 40 atoms, 2^12 points with step 2 * 256 / 2^12 = 0.125.
+SMALL_BETA = 0.05
+SMALL_ATOMS = 40
+SMALL_GRID = {"span": 256.0, "grid_points": 2 ** 12, "duration": 3.0, "rise_fall": 0.2}
+
+
+def small_pulses(carriers):
+    t = time_grid(SMALL_GRID["span"], SMALL_GRID["grid_points"])
+    return [synthesize_pulse(t, SMALL_GRID["duration"], SMALL_GRID["rise_fall"],
+                             carrier_detuning=c) for c in carriers]
+
+
+def per_carrier_reference(carriers, n_configs, seed):
+    """Mean traces and rates with one transfer_bidirectional per carrier and configuration."""
+    model = DisorderModel(n_atoms=SMALL_ATOMS, beta_mean=SMALL_BETA, seed=seed)
+    traces, rates = [], []
+    for pulse in small_pulses(carriers):
+        def both_directions(ens, pulse=pulse):
+            t_spec, r_spec = transfer_bidirectional(pulse.detunings(), ens)
+            return np.stack([propagate_pulse(pulse, t_spec).power(),
+                             propagate_pulse(pulse, r_spec).power()])
+
+        mean, _ = average_observable(model, n_configs, both_directions)
+        traces.append(mean)
+        rates.append([fit_initial_decay(pulse.t, mean[0], pulse.switch_off,
+                                        fitting.WINDOW_SHORT).rate,
+                      fit_initial_decay(pulse.t, mean[1], pulse.switch_off,
+                                        fitting.WINDOW_LONG).rate])
+    return np.array(traces), np.array(rates)
+
+
+class TestSharedGridSweep:
+    @pytest.mark.parametrize("carriers, n_groups", [
+        ((0.5, 1.5, 3.0), 1),     # all on the 0.125 step
+        ((0.5, 1.3, 3.0), 2),     # 1.3 is 10.4 steps from 0.5
+        ((-2.0, 0.5, 4.0), 1),    # negative carrier
+        ((1.5, 0.5, 1.5), 1),     # duplicated carrier
+    ])
+    def test_matches_per_carrier_recursion(self, monkeypatch, carriers, n_groups):
+        n_configs, seed = 3, 5
+        ref_traces, ref_rates = per_carrier_reference(carriers, n_configs, seed)
+
+        model = DisorderModel(n_atoms=SMALL_ATOMS, beta_mean=SMALL_BETA, seed=seed)
+        observable = fitting._directional_powers(small_pulses(carriers))
+        traces, _ = average_observable(model, n_configs, observable)
+        assert traces.shape == ref_traces.shape
+        assert np.max(np.abs(traces - ref_traces)) <= 1e-9
+
+        calls = []
+        recursion = fitting._recursion
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return recursion(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "_recursion", counted)
+        sweep = backward_decay_sweep(resonant_od(SMALL_ATOMS, SMALL_BETA), carriers,
+                                     beta=SMALL_BETA, n_configs=n_configs, seed=seed,
+                                     **SMALL_GRID)
+        assert len(calls) == n_configs * n_groups
+        rates = np.array([[r.forward.rate, r.backward.rate] for r in sweep])
+        assert np.all(np.abs(rates / ref_rates - 1.0) <= 1e-12)
+        assert [r.detuning for r in sweep] == list(carriers)
+
+    def test_union_grid_spans_the_group(self):
+        pulses = small_pulses((0.5, 1.5, -0.25))
+        (grid, members), = fitting._shared_grids(pulses)
+        n = SMALL_GRID["grid_points"]
+        assert grid.size == n + 14  # offsets 0, +8 and -6 steps
+        for (i, start), pulse in zip(members, pulses):
+            assert np.allclose(grid[start:start + n], pulse.detunings(), rtol=0.0, atol=1e-12)
+        assert np.array_equal(grid[members[0][1]:members[0][1] + n], pulses[0].detunings())
+
+    def test_distant_carrier_gets_its_own_grid(self):
+        # 600 is a whole number of steps away but its grid misses [-256, 256)
+        groups = fitting._shared_grids(small_pulses((0.5, 600.5)))
+        assert [len(members) for _, members in groups] == [1, 1]
+        assert all(grid.size == SMALL_GRID["grid_points"] for grid, _ in groups)

@@ -78,6 +78,26 @@ class TestConfigParsing:
             config_from_dict({"scenario": "fig2",
                               "pulse": {"duration_ns": 1.0, "rise_fall_ns": 2.0}})
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"scenario": "fig4", "detunings": [0.5, True, 3.0]}, "detunings[1]"),
+        ({"scenario": "fig4", "detunings": [0.5, 1.5, "3.0"]}, "detunings[2]"),
+        ({"scenario": "fig4", "detunings": [0.5, float("nan")]}, "detunings[1]"),
+        ({"scenario": "fig3", "od_values": [2.0, True]}, "od_values[1]"),
+        ({"scenario": "fig3", "od_values": ["5"]}, "od_values[0]"),
+        ({"scenario": "fig3", "od_values": [2.0, float("inf")]}, "od_values[1]"),
+        ({"scenario": "fig3", "od_values": [2.0, -1.0]}, "od_values[1]"),
+        ({"scenario": "fig2", "output": {"trace_atoms": [1, True]}}, "output.trace_atoms[1]"),
+        ({"scenario": "fig2", "output": {"trace_atoms": ["100"]}}, "output.trace_atoms[0]"),
+        ({"scenario": "fig2", "output": {"trace_atoms": [1, float("nan")]}},
+         "output.trace_atoms[1]"),
+        ({"scenario": "fig2", "output": {"trace_atoms": [0]}}, "output.trace_atoms[0]"),
+        ({"scenario": "fig2", "detuning": float("nan")}, "detuning"),
+    ])
+    def test_bad_number_named_with_index(self, raw, field):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(raw)
+        assert excinfo.value.field == field
+
     def test_round_trip(self, tmp_path):
         for scenario in ("fig2", "fig3", "fig4", "fig5", "s1", "custom"):
             config = config_from_dict(scenario_defaults(scenario))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,28 @@ class TestBidirectional:
         t_spec, r_spec = transfer_bidirectional(g, ens)
         assert np.allclose(state.t[0] * state.t[1], t_spec.amplitude, rtol=1e-13)
         assert np.allclose(state.s[0], r_spec.amplitude, rtol=1e-13)
+
+    def test_degenerate_denominators_counted(self):
+        # two fully coupled atoms at equal phases: the recursion's denominators
+        # are 1/2 + i delta (far atom) and i delta (1 + i delta) / (1/2 + i delta)
+        # (near atom), which vanishes at delta = 0
+        g = detuning_grid(4.0, 64)
+        ens = EnsembleSpec.uniform(2, 0.5, phase=0.0)
+        base = 0.5 + 1j * g
+        moduli = np.concatenate([np.abs(base), np.abs(1j * g * (1.0 + 1j * g) / base)])
+        eps = 0.3
+        expected = int(np.count_nonzero(moduli < eps))
+        assert expected == 3
+        message = re.escape(f"{expected} grid point(s) with scattering denominator below 0.3 "
+                            f"(min |den| = {moduli[moduli < eps].min():.3e})")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.warns(DegenerateDenominatorWarning, match=f"^{message}$"):
+                transfer_bidirectional(g, ens, eps=eps)
+            with pytest.warns(DegenerateDenominatorWarning, match=r"^1 grid point"):
+                t_spec, _ = transfer_bidirectional(g, ens)
+        at_zero = g == 0.0
+        assert np.all(np.isnan(t_spec.amplitude[at_zero]))
+        assert np.all(np.isfinite(t_spec.amplitude[~at_zero]))
 
 
 class TestCavity:
