@@ -6,46 +6,34 @@ import argparse
 import copy
 import json
 import sys
-from pathlib import Path
 
 from . import __version__, selfcheck
 from .scenarios import (
     SCENARIOS,
     ConfigError,
     config_from_dict,
+    read_config_json,
     run_scenario,
     scenario_defaults,
 )
 
+# command-line flag -> dotted config path it overrides
+_OVERRIDES = (("out", "output.directory"), ("seed", "disorder.seed"),
+              ("threads", "threads"), ("grid_points", "grid.points"))
+
 
 def _load_raw_config(args) -> dict:
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError("", f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError("", f"malformed JSON in {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("", "config must be a JSON object")
-        return raw
+        return read_config_json(args.config)
     return scenario_defaults(args.scenario)
 
 
 def _apply_overrides(raw: dict, args) -> dict:
     raw = copy.deepcopy(raw)
-    if args.out is not None:
-        raw.setdefault("output", {})
-        raw["output"]["directory"] = args.out
-    if args.seed is not None:
-        raw.setdefault("disorder", {})
-        raw["disorder"]["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    if args.grid_points is not None:
-        raw.setdefault("grid", {})
-        raw["grid"]["points"] = args.grid_points
+    for flag, dotted in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is not None:
+            _set_dotted(raw, dotted, value)
     return raw
 
 
@@ -79,14 +67,14 @@ def cmd_sweep(args) -> int:
     values = [_parse_value(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigError(args.param, "sweep needs at least one value")
-    base_out = raw.get("output", {}).get("directory")
+    output = raw.get("output")
+    base_out = output.get("directory") if isinstance(output, dict) else None
     leaf = args.param.split(".")[-1]
     for value in values:
         point = copy.deepcopy(raw)
         _set_dotted(point, args.param, value)
         out_dir = base_out or f"out/{point.get('scenario', 'sweep')}"
-        point.setdefault("output", {})
-        point["output"]["directory"] = f"{out_dir}/{leaf}={value}"
+        _set_dotted(point, "output.directory", f"{out_dir}/{leaf}={value}")
         config = config_from_dict(point)
         files = run_scenario(config)
         print(f"{args.param}={value}: {files['manifest'].parent}")

@@ -1,8 +1,9 @@
-"""Decay-rate extraction and derived sweeps.
+"""Decay-rate extraction and the pipelines built on it.
 
 Rates come from weighted least squares on the log of a power trace, with
 weights proportional to the trace (shot-noise-like weighting).  The
 residual periodogram exposes small oscillations riding on a fitted decay.
+The figure pipelines live here too, so scenarios and acceptance tests share them.
 """
 
 from __future__ import annotations
@@ -22,13 +23,22 @@ from .pulses import (
     synthesize_pulse,
     time_grid,
 )
-from .spectra import RECURSION_EPS, TransferSpectrum, _recursion, transfer_unidirectional
+from .spectra import (
+    RECURSION_EPS,
+    CavitySpec,
+    TransferSpectrum,
+    _recursion,
+    transfer_bidirectional,
+    transfer_cavity,
+    transfer_unidirectional,
+)
 
 _UNITS = Units()
 SETTLE_DELAY = _UNITS.time_from_si(1e-9)       # skip the switch-off transient
 WINDOW_LONG = _UNITS.time_from_si(30e-9)       # default fit window
 WINDOW_SHORT = _UNITS.time_from_si(15e-9)      # fit window for fast decays
 WINDOW_SHORT_OD = 20.7                         # switch point between the two
+FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
 DURATION_150NS = _UNITS.time_from_si(150e-9)
 RISE_FALL_850PS = _UNITS.time_from_si(850e-12)
 
@@ -205,7 +215,7 @@ def _directional_powers(pulses):
     def observable(ens):
         out = np.empty((len(pulses), 2, n))
         for grid, members in groups:
-            _, t_prod, s, _ = _recursion(grid, ens, RECURSION_EPS, keep_state=False)
+            _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
             for i, start in members:
                 window = slice(start, start + n)
                 for row, amplitude in enumerate((t_prod, s)):
@@ -248,6 +258,89 @@ def backward_decay_sweep(od, detunings, beta=BETA_DEFAULT, n_configs=64, seed=0,
                                 settle_delay, fit_cycles)
         results.append(DirectionalDecay(pulse.carrier_detuning, fwd, bwd))
     return results
+
+
+def disorder_averaged_forward(pulse, n_atoms, beta=BETA_DEFAULT, n_configs=1000, seed=0,
+                              n_workers=1):
+    """Forward output power of the cascade and of the disorder-averaged chain.
+
+    Returns (cascade, mean, stderr): the output power of the uniform
+    forward cascade of n_atoms, and the mean and standard error over
+    n_configs random-phase configurations of the output power through the
+    two-way transmission.  Back-scattering between atoms averages out, so
+    the two agree within the Monte Carlo error.
+    """
+    delta = pulse.detunings()
+    uniform = EnsembleSpec.uniform(n_atoms, beta)
+    cascade = propagate_pulse(pulse, transfer_unidirectional(delta, uniform)).power()
+    model = DisorderModel(n_atoms=n_atoms, beta_mean=beta, seed=seed)
+
+    def forward_power(sample):
+        t_spec, _ = transfer_bidirectional(delta, sample)
+        return propagate_pulse(pulse, t_spec).power()
+
+    mean, stderr = average_observable(model, n_configs, forward_power, n_workers=n_workers)
+    return cascade, mean, stderr
+
+
+@dataclass(frozen=True)
+class RingMultipass:
+    """Ring run: out-coupled power with and without the medium, per roundtrip.
+
+    The roundtrip lasts shift samples (tau).  Row m-1 of each per-roundtrip
+    array is roundtrip m: the cavity flash rate, the rate of one pass at
+    OD_tot = m * OD, the flash peak over the no-atom level, and the raw
+    cavity and single-pass power over the roundtrip, at local_time.
+    """
+
+    cavity_power: np.ndarray
+    no_atom_power: np.ndarray
+    shift: int
+    tau: float
+    local_time: np.ndarray
+    cavity_rate: np.ndarray
+    single_pass_rate: np.ndarray
+    flash_ratio: np.ndarray
+    cavity_segments: np.ndarray
+    single_pass_segments: np.ndarray
+
+
+def ring_multipass(pulse, ensemble, t_rt, t_c, tau_rt, phi0, roundtrips, start,
+                   settle_delay=SETTLE_DELAY) -> RingMultipass:
+    """Ring multi-pass build-up compared with single passes at OD_tot = m * OD.
+
+    tau_rt is snapped to whole grid samples so the overlays are not blurred
+    by sub-sample misalignment.  Roundtrip m opens half a time unit before
+    start + m * tau; the m-pass cascade is read in the window m * tau earlier.
+    """
+    t, delta = pulse.t, pulse.detunings()
+    shift = max(1, round(tau_rt / pulse.dt))
+    tau = shift * pulse.dt
+    single = transfer_unidirectional(delta, ensemble)
+    cavity = CavitySpec(t_rt=t_rt, t_c=t_c, tau_rt=tau, phi0=phi0)
+    power = propagate_pulse(pulse, transfer_cavity(single, cavity)).power()
+    unity = TransferSpectrum(delta, np.ones(delta.size, dtype=complex))
+    reference = propagate_pulse(pulse, transfer_cavity(unity, cavity)).power()
+
+    lo0 = int(np.searchsorted(t, start - 0.5))
+    cumulative = np.ones(delta.size, dtype=complex)
+    rate_cav, rate_sp, flash, seg_cav, seg_sp = [], [], [], [], []
+    for m in range(1, roundtrips + 1):
+        cumulative = cumulative * single.amplitude
+        p_sp = propagate_pulse(pulse, TransferSpectrum(delta, cumulative)).power()
+        lo = lo0 + m * shift
+        t_off = pulse.switch_off + m * tau
+        rate_cav.append(fit_pulse_decay(t, power, t_off, FLASH_WINDOW, settle_delay,
+                                        min_points=6).rate)
+        rate_sp.append(fit_pulse_decay(t, p_sp, pulse.switch_off, FLASH_WINDOW, settle_delay,
+                                       min_points=6).rate)
+        post = power[int(np.searchsorted(t, t_off)):lo + shift]
+        flash.append(float(post.max() / reference[lo:lo + shift].max()))
+        seg_cav.append(power[lo:lo + shift])
+        seg_sp.append(p_sp[lo0:lo0 + shift].copy())  # a view would keep all of p_sp alive
+    return RingMultipass(power, reference, shift, tau, t[lo0:lo0 + shift] - start,
+                         np.array(rate_cav), np.array(rate_sp), np.array(flash),
+                         np.array(seg_cav), np.array(seg_sp))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .physics import EnsembleSpec
-from .spectra import TransferSpectrum, _is_power_of_two, _single_atom_t
+from .spectra import TransferSpectrum, _cascade_amplitudes, _is_power_of_two, _validate_grid
 
 # Raised-cosine (cos^2 amplitude) edge geometry: fractions of the full ramp
 # at which the instantaneous power crosses 10%, 50% and 90%.
@@ -43,16 +43,6 @@ def time_grid(span, n):
     return np.arange(int(n)) * (math.pi / float(span))
 
 
-def _validate_time_grid(t):
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or not _is_power_of_two(t.size):
-        raise ValueError(f"time grid length must be a power of two, got shape {t.shape}")
-    steps = np.diff(t)
-    if t.size > 1 and (steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
-        raise ValueError("time grid must be uniform and increasing")
-    return t
-
-
 @dataclass(frozen=True)
 class PulseWaveform:
     """Complex baseband field envelope on a uniform time grid.
@@ -69,7 +59,7 @@ class PulseWaveform:
     switch_off: float | None = None
 
     def __post_init__(self):
-        t = _validate_time_grid(self.t)
+        t = _validate_grid(self.t, name="time grid")
         envelope = np.asarray(self.envelope, dtype=complex)
         if envelope.shape != t.shape:
             raise ValueError("time grid and envelope must have matching shapes")
@@ -113,7 +103,7 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
     The grid must also cover PADDING_FACTOR * duration + PADDING_TAIL so
     slow decays do not wrap around in the transforms.
     """
-    t = _validate_time_grid(t_grid)
+    t = _validate_grid(t_grid, name="time grid")
     duration = float(duration)
     rise_fall = float(rise_fall)
     if duration <= 0:
@@ -258,15 +248,11 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     keep = {int(a): row for row, a in enumerate(selected)}
 
     energy = np.zeros(pulse.t.size)
-    prefix = np.ones(pulse.t.size, dtype=complex)
-    for n in range(n_atoms):
-        t_n = _single_atom_t(delta, ensemble.beta[n], ensemble.shift[n])
-        phi = 1j * prefix * (t_n - 1.0) / math.sqrt(ensemble.beta[n])
+    for n, phi in enumerate(_cascade_amplitudes(delta, ensemble)):
         p_n = np.abs(np.fft.ifft(spectrum * phi)) ** 2
         energy += p_n
         if n in keep:
             traces[keep[n]] = p_n[::stride]
-        prefix *= t_n
 
     de_dt = np.gradient(energy, pulse.dt)
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))

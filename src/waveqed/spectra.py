@@ -113,6 +113,19 @@ def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
     return TransferSpectrum(delta, amp)
 
 
+def _cascade_amplitudes(delta, ensemble: EnsembleSpec):
+    """Yield each atom's cascade amplitude phi_n(delta), atom by atom.
+
+    phi_n = i (prod_{j<n} t_j) (t_n - 1) / sqrt(beta_n).  A caller that
+    consumes them one at a time never holds all N grid-sized rows at once.
+    """
+    prefix = np.ones(delta.size, dtype=complex)
+    for b, s in zip(ensemble.beta, ensemble.shift):
+        t_n = _single_atom_t(delta, b, s)
+        yield 1j * prefix * (t_n - 1.0) / math.sqrt(b)
+        prefix *= t_n
+
+
 def excitation_amplitudes(delta, ensemble: EnsembleSpec):
     """Steady-state excitation amplitude of each atom in the forward cascade.
 
@@ -126,49 +139,22 @@ def excitation_amplitudes(delta, ensemble: EnsembleSpec):
     (n_atoms, len(delta)).
     """
     d = np.atleast_1d(np.asarray(delta, dtype=float))
-    scalar = np.ndim(delta) == 0
     out = np.empty((ensemble.n_atoms, d.size), dtype=complex)
-    prefix = np.ones(d.size, dtype=complex)
-    for j, (b, s) in enumerate(zip(ensemble.beta, ensemble.shift)):
-        t_j = _single_atom_t(d, b, s)
-        out[j] = 1j * prefix * (t_j - 1.0) / math.sqrt(b)
-        prefix = prefix * t_j
-    return out[:, 0] if scalar else out
+    for j, phi in enumerate(_cascade_amplitudes(d, ensemble)):
+        out[j] = phi
+    return out[:, 0] if np.ndim(delta) == 0 else out
 
 
-@dataclass(frozen=True)
-class BidirectionalState:
-    """Per-atom field ratios of the two-way scattering recursion.
-
-    t[n] is the forward amplitude ratio across atom n+1; s[n] is the
-    backward-to-forward ratio just before atom n+1, with the excitation
-    from one side only enforced by s[N] = 0.  Intended for small
-    ensembles; memory grows as n_atoms * grid size.
-    """
-
-    t: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self):
-        if self.s.shape[0] != self.t.shape[0] + 1:
-            raise ValueError("s must have one more row than t")
-        if np.any(self.s[-1] != 0):
-            raise ValueError("open boundary requires s[N] = 0")
-
-
-def _recursion(delta, ensemble, eps, keep_state):
+def _recursion(delta, ensemble, eps):
     # Any uniform increasing grid: only the FFT needs a power-of-two length,
     # so callers may evaluate one union grid for several pulse grids.
     delta = _uniform_grid(delta)
-    n_atoms = ensemble.n_atoms
     base = 0.5 + 1j * delta
     s = np.zeros(delta.size, dtype=complex)
     t_prod = np.ones(delta.size, dtype=complex)
-    t_rows = np.empty((n_atoms, delta.size), dtype=complex) if keep_state else None
-    s_rows = np.zeros((n_atoms + 1, delta.size), dtype=complex) if keep_state else None
     degenerate = 0
     min_den = math.inf
-    for n in range(n_atoms - 1, -1, -1):
+    for n in range(ensemble.n_atoms - 1, -1, -1):
         b = ensemble.beta[n]
         e_plus = complex(np.exp(1j * ensemble.phase[n]))
         # ratio = (beta_n + beta_n s e^{-i theta}) / (1/2 + i(delta-shift) + ...)
@@ -190,9 +176,6 @@ def _recursion(delta, ensemble, eps, keep_state):
         ratio *= e_plus
         s -= ratio
         t_prod *= t_n
-        if keep_state:
-            t_rows[n] = t_n
-            s_rows[n] = s
     if degenerate:
         warnings.warn(
             f"{degenerate} grid point(s) with scattering denominator below "
@@ -200,8 +183,7 @@ def _recursion(delta, ensemble, eps, keep_state):
             DegenerateDenominatorWarning,
             stacklevel=3,
         )
-    state = BidirectionalState(t_rows, s_rows) if keep_state else None
-    return delta, t_prod, s, state
+    return delta, t_prod, s
 
 
 def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
@@ -219,14 +201,8 @@ def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
     Degenerate denominators (modulus < eps) trigger a
     DegenerateDenominatorWarning; the values are still computed.
     """
-    delta, t_prod, s, _ = _recursion(_validate_grid(delta), ensemble, eps, keep_state=False)
+    delta, t_prod, s = _recursion(_validate_grid(delta), ensemble, eps)
     return TransferSpectrum(delta, t_prod), TransferSpectrum(delta, s)
-
-
-def bidirectional_state(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS) -> BidirectionalState:
-    """Materialized per-atom recursion ratios (for small ensembles)."""
-    _, _, _, state = _recursion(_validate_grid(delta), ensemble, eps, keep_state=True)
-    return state
 
 
 @dataclass(frozen=True)

@@ -20,28 +20,25 @@ import numpy as np
 import pytest
 
 from waveqed import (
-    CavitySpec,
-    DisorderModel,
     EnsembleSpec,
-    TransferSpectrum,
     Units,
     atom_dynamics,
-    average_observable,
     backward_decay_sweep,
     collective_decay_vs_od,
     detuning_grid,
+    disorder_averaged_forward,
     fit_pulse_decay,
+    od_to_atom_number,
     propagate_pulse,
     resonant_od,
+    ring_multipass,
     selfcheck,
     synthesize_pulse,
     time_grid,
     transfer_bidirectional,
-    transfer_cavity,
     transfer_unidirectional,
 )
 from waveqed.fitting import SETTLE_DELAY
-from waveqed.scenarios import FLASH_WINDOW
 
 from oracles import transfer_matrix_solution
 
@@ -106,16 +103,8 @@ def test_c2_small_system_oracle():
 def _s1_deviation(n_configs, n_workers=1):
     pulse = synthesize_pulse(time_grid(1024.0, 2 ** 14), 150 * NS, 0.85 * NS,
                              carrier_detuning=17.3, photon_number=2.0)
-    delta = pulse.detunings()
-    ens = EnsembleSpec.from_od(19.3, BETA)
-    p_uni = propagate_pulse(pulse, transfer_unidirectional(delta, ens)).power()
-    model = DisorderModel(n_atoms=ens.n_atoms, beta_mean=BETA, seed=11)
-
-    def forward_power(sample):
-        t_spec, _ = transfer_bidirectional(delta, sample)
-        return propagate_pulse(pulse, t_spec).power()
-
-    mean, _ = average_observable(model, n_configs, forward_power, n_workers=n_workers)
+    p_uni, mean, _ = disorder_averaged_forward(pulse, od_to_atom_number(19.3, BETA), BETA,
+                                               n_configs, seed=11, n_workers=n_workers)
     return float(np.max(np.abs(mean - p_uni)) / p_uni.max())
 
 
@@ -222,33 +211,12 @@ def test_c6_directional_asymmetry():
 def cavity_run():
     pulse = synthesize_pulse(time_grid(2048.0, 2 ** 20), 120 * NS, 0.85 * NS,
                              carrier_detuning=8.7, photon_number=1.0)
-    t = pulse.t
-    delta = pulse.detunings()
-    single = transfer_unidirectional(delta, EnsembleSpec.from_od(14.0, BETA))
-    shift = round(UNITS.time_from_si(220e-9) / pulse.dt)
-    tau = shift * pulse.dt  # snapped to the grid so overlays align exactly
-    cavity = CavitySpec(t_rt=0.85, t_c=0.9, tau_rt=tau, phi0=0.0)
-    power = propagate_pulse(pulse, transfer_cavity(single, cavity)).power()
-    unity = TransferSpectrum(delta, np.ones(delta.size, dtype=complex))
-    reference = propagate_pulse(pulse, transfer_cavity(unity, cavity)).power()
-
-    lo0 = int(np.searchsorted(t, 1.0 - 0.5))
-    mismatch, rates, flash = [], [], []
-    cumulative = np.ones(delta.size, dtype=complex)
-    for m in range(1, 8):
-        cumulative = cumulative * single.amplitude
-        p_single = propagate_pulse(pulse, TransferSpectrum(delta, cumulative)).power()
-        lo = lo0 + m * shift
-        seg_cavity = power[lo:lo + shift]
-        seg_single = p_single[lo0:lo0 + shift]
-        mismatch.append(float(np.max(np.abs(
-            seg_cavity / seg_cavity.max() - seg_single / seg_single.max()))))
-        t_off = pulse.switch_off + m * tau
-        fit = fit_pulse_decay(t, power, t_off, FLASH_WINDOW, SETTLE_DELAY, min_points=6)
-        rates.append(fit.rate)
-        post = power[int(np.searchsorted(t, t_off)):lo + shift]
-        flash.append(float(post.max() / reference[lo:lo + shift].max()))
-    return np.array(mismatch), np.array(rates), np.array(flash)
+    ring = ring_multipass(pulse, EnsembleSpec.from_od(14.0, BETA), t_rt=0.85, t_c=0.9,
+                          tau_rt=UNITS.time_from_si(220e-9), phi0=0.0, roundtrips=7,
+                          start=1.0, settle_delay=SETTLE_DELAY)
+    mismatch = [float(np.max(np.abs(cavity / cavity.max() - single / single.max())))
+                for cavity, single in zip(ring.cavity_segments, ring.single_pass_segments)]
+    return np.array(mismatch), ring.cavity_rate, ring.flash_ratio
 
 
 def test_c7_roundtrip_equivalence(cavity_run):

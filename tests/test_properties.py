@@ -18,7 +18,6 @@ from waveqed import (
     transfer_unidirectional,
     CavitySpec,
 )
-from waveqed import selfcheck
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +130,6 @@ def test_monte_carlo_error_scaling():
             for m in (100, 1000, 10000)]
     assert errs[0] / errs[1] == pytest.approx(np.sqrt(10.0), rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(np.sqrt(10.0), rel=0.2)
-
-
-def test_selfcheck_suite_green():
-    results = selfcheck.run_all(n_workers=2)
-    failed = [r.name for r in results if not r.passed]
-    assert not failed, f"self-checks failed: {failed}"
 
 
 def test_edge_shape_sensitivity_is_small():

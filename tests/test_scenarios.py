@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from waveqed import (
     ConfigError,
     config_from_dict,
+    config_to_dict,
     emit_config,
     parse_config,
     run_scenario,
     scenario_defaults,
 )
 from waveqed.cli import main
+from waveqed.scenarios import SCENARIOS
 
 
 def tiny_custom(out_dir, **overrides):
@@ -98,6 +101,27 @@ class TestConfigParsing:
             config_from_dict(raw)
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"scenario": "fig2", "pulse": 5}, "pulse"),
+        ({"scenario": "fig2", "output": None}, "output"),
+        ({"scenario": "fig4", "grid": [1024.0, 2 ** 14]}, "grid"),
+        ({"scenario": "s1", "disorder": "seed"}, "disorder"),
+    ])
+    def test_non_object_section_named(self, raw, field):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(raw)
+        assert excinfo.value.field == field
+
+    def test_default_configs_pinned(self):
+        # recorded from the built-in defaults: a renamed key, a changed
+        # default or an int turned float changes the manifest and shows here
+        expected = json.loads((Path(__file__).parent / "default_configs.json").read_text())
+        assert sorted(expected) == sorted(SCENARIOS)
+        for scenario in SCENARIOS:
+            actual = config_to_dict(config_from_dict({"scenario": scenario}))
+            assert json.dumps(actual, sort_keys=True) == json.dumps(expected[scenario],
+                                                                    sort_keys=True)
+
     def test_round_trip(self, tmp_path):
         for scenario in ("fig2", "fig3", "fig4", "fig5", "s1", "custom"):
             config = config_from_dict(scenario_defaults(scenario))
@@ -143,6 +167,13 @@ class TestRunScenario:
         assert data.shape[1] == len(header)
         assert np.all(np.isfinite(data))
 
+    def test_fig2_clipped_trace_atoms_one_column_each(self, tmp_path):
+        # the default trace atoms 1, 100 and 600 clip to 1, 50 and 50
+        raw = tiny_custom(tmp_path / "fig2", scenario="fig2", od=None, n_atoms=50)
+        files = run_scenario(config_from_dict(raw))
+        header = files["atom_traces"].read_text().splitlines()[1].split(",")
+        assert header == ["time_ns", "p_atom_1_probability", "p_atom_50_probability"]
+
     def test_s1_small_run(self, tmp_path):
         raw = {
             "scenario": "s1",
@@ -186,6 +217,19 @@ class TestCli:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"]["type"] == "ConfigError"
         assert "betta" in payload["error"]["field"]
+
+    @pytest.mark.parametrize("overrides, flags, field", [
+        ({"pulse": 5}, [], "pulse"),
+        ({"output": None}, ["--out", "elsewhere"], "output.directory"),
+    ])
+    def test_structured_error_on_non_object_section(self, tmp_path, capsys,
+                                                    overrides, flags, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scenario": "fig2", **overrides}))
+        assert main(["run", "--config", str(path), *flags]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == {"type": "ConfigError", "field": field,
+                                    "message": payload["error"]["message"]}
 
     def test_sweep_writes_per_value_dirs(self, tmp_path):
         path = tmp_path / "cfg.json"

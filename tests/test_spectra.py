@@ -9,7 +9,6 @@ from waveqed import (
     DegenerateDenominatorWarning,
     EnsembleSpec,
     TransferSpectrum,
-    bidirectional_state,
     detuning_grid,
     excitation_amplitudes,
     single_atom_coefficients,
@@ -205,17 +204,6 @@ class TestBidirectional:
             ens = random_ensemble(rng, int(rng.integers(1, 60)), beta_max=0.5)
             t_spec, r_spec = transfer_bidirectional(g, ens)
             assert np.max(t_spec.power() + r_spec.power()) <= 1.0 + 1e-12
-
-    def test_state_boundary_and_reduction(self):
-        g = detuning_grid(8.0, 16)
-        ens = EnsembleSpec(beta=[0.1, 0.2], phase=[0.4, 2.2], shift=[0.0, 0.0])
-        state = bidirectional_state(g, ens)
-        assert state.t.shape == (2, 16)
-        assert state.s.shape == (3, 16)
-        assert np.all(state.s[-1] == 0)
-        t_spec, r_spec = transfer_bidirectional(g, ens)
-        assert np.allclose(state.t[0] * state.t[1], t_spec.amplitude, rtol=1e-13)
-        assert np.allclose(state.s[0], r_spec.amplitude, rtol=1e-13)
 
     def test_degenerate_denominators_counted(self):
         # two fully coupled atoms at equal phases: the recursion's denominators
