@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 
 from . import __version__, selfcheck
@@ -70,11 +71,16 @@ def cmd_sweep(args) -> int:
     output = raw.get("output")
     base_out = output.get("directory") if isinstance(output, dict) else None
     leaf = args.param.split(".")[-1]
-    for value in values:
+    names = [f"{leaf}={value}" for value in values]
+    for value, name in zip(values, names):
+        if any(sep and sep in name for sep in (os.sep, os.altsep)):
+            raise ConfigError(args.param, f"value {value!r} would write outside the sweep "
+                                          f"directory (directory name {name!r})")
+    for value, name in zip(values, names):
         point = copy.deepcopy(raw)
         _set_dotted(point, args.param, value)
         out_dir = base_out or f"out/{point.get('scenario', 'sweep')}"
-        _set_dotted(point, "output.directory", f"{out_dir}/{leaf}={value}")
+        _set_dotted(point, "output.directory", f"{out_dir}/{name}")
         config = config_from_dict(point)
         files = run_scenario(config)
         print(f"{args.param}={value}: {files['manifest'].parent}")
@@ -82,13 +88,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = selfcheck.run_all(n_workers=args.threads or 2)
+    checks = selfcheck.ALL_CHECKS
     failed = 0
-    for result in results:
+    for check in checks:
+        result = check()
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")
         failed += 0 if result.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
 
@@ -125,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_check = sub.add_parser("check", help="run built-in invariant self-tests")
-    p_check.add_argument("--threads", type=int, default=2)
     p_check.set_defaults(func=cmd_check)
 
     return parser

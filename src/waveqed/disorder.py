@@ -85,19 +85,18 @@ def _chunk_sums(model, observable, start, stop, first):
 
 
 def average_observable(model: DisorderModel, n_configs: int, observable,
-                       n_workers: int = 1, chunk_size: int = None):
+                       n_workers: int = 1):
     """Mean and standard error of an array-valued observable over disorder.
 
     observable maps an EnsembleSpec to an array of fixed shape and is called
     exactly once per configuration.  Results are independent of n_workers
     and of evaluation order by construction: the chunk layout depends only
-    on n_configs.
+    on n_configs (about 32 chunks, at most CHUNK_SIZE configurations each).
     """
     n_configs = int(n_configs)
     if n_configs < 1:
         raise ValueError("n_configs must be positive")
-    if chunk_size is None:
-        chunk_size = max(1, min(CHUNK_SIZE, -(-n_configs // 32)))
+    chunk_size = max(1, min(CHUNK_SIZE, -(-n_configs // 32)))
     first = np.asarray(observable(sample_configuration(model, 0)))
     shape = first.shape
     bounds = [(s, min(s + chunk_size, n_configs)) for s in range(0, n_configs, chunk_size)]

@@ -39,6 +39,10 @@ WINDOW_LONG = _UNITS.time_from_si(30e-9)       # default fit window
 WINDOW_SHORT = _UNITS.time_from_si(15e-9)      # fit window for fast decays
 WINDOW_SHORT_OD = 20.7                         # switch point between the two
 FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
+FIT_CYCLES = 2.0                               # initial-decay window, in decay times
+FIT_PASSES = 3                                 # bootstrap fit, then refits at the adapted window
+BOOTSTRAP_WINDOW = 0.3                         # first-pass window (1/Gamma0) of the initial decay
+MIN_INITIAL_POINTS = 20                        # fewest samples in an initial-decay window
 DURATION_150NS = _UNITS.time_from_si(150e-9)
 RISE_FALL_850PS = _UNITS.time_from_si(850e-12)
 
@@ -230,7 +234,7 @@ def backward_decay_sweep(od, detunings, beta=BETA_DEFAULT, n_configs=64, seed=0,
                          duration=DURATION_150NS, rise_fall=RISE_FALL_850PS,
                          photon_number=1.0, span=1024.0, grid_points=2 ** 14,
                          forward_window=WINDOW_SHORT, backward_window=WINDOW_LONG,
-                         fit_cycles=2.0, settle_delay=SETTLE_DELAY, n_workers=1):
+                         settle_delay=SETTLE_DELAY, n_workers=1):
     """Disorder-averaged forward/backward decay rates versus detuning.
 
     For each carrier detuning, the pulse is propagated through the
@@ -253,9 +257,9 @@ def backward_decay_sweep(od, detunings, beta=BETA_DEFAULT, n_configs=64, seed=0,
     results = []
     for pulse, (forward, backward) in zip(pulses, mean):
         fwd = fit_initial_decay(pulse.t, forward, pulse.switch_off, forward_window,
-                                settle_delay, fit_cycles)
+                                settle_delay)
         bwd = fit_initial_decay(pulse.t, backward, pulse.switch_off, backward_window,
-                                settle_delay, fit_cycles)
+                                settle_delay)
         results.append(DirectionalDecay(pulse.carrier_detuning, fwd, bwd))
     return results
 
@@ -353,25 +357,24 @@ class CollectiveDecayPoint:
     gamma_coll: float
 
 
-def fit_initial_decay(t, power, t_off, window_cap, settle_delay=SETTLE_DELAY,
-                      fit_cycles=2.0, passes=3, bootstrap_window=0.3,
-                      min_points=20) -> DecayFit:
-    """Initial decay rate: the fit window adapts to ~fit_cycles decay times.
+def fit_initial_decay(t, power, t_off, window_cap, settle_delay=SETTLE_DELAY) -> DecayFit:
+    """Initial decay rate: the fit window adapts to ~FIT_CYCLES decay times.
 
     A short bootstrap window pins the flash decay first, then the window
-    is refitted at fit_cycles / rate (never longer than window_cap, never
-    shorter than min_points samples).  For slow decays the cap binds and
-    this reduces to a plain windowed fit; for fast collective decays it
-    keeps the window on the initial flash instead of the later ringing
-    structure.
+    is refitted at FIT_CYCLES / rate, FIT_PASSES fits in all (never longer
+    than window_cap, never shorter than MIN_INITIAL_POINTS samples).  For
+    slow decays the cap binds and this reduces to a plain windowed fit; for
+    fast collective decays it keeps the window on the initial flash instead
+    of the later ringing structure.
     """
     dt = float(np.asarray(t)[1] - np.asarray(t)[0])
-    floor = min_points * dt
-    window = min(float(window_cap), max(float(bootstrap_window), floor))
-    fit = fit_pulse_decay(t, power, t_off, window, settle_delay, min_points=min_points)
-    for _ in range(passes - 1):
-        window = min(float(window_cap), max(fit_cycles / fit.rate, floor))
-        fit = fit_pulse_decay(t, power, t_off, window, settle_delay, min_points=min_points)
+    floor = MIN_INITIAL_POINTS * dt
+    window = min(float(window_cap), max(BOOTSTRAP_WINDOW, floor))
+    fit = fit_pulse_decay(t, power, t_off, window, settle_delay, min_points=MIN_INITIAL_POINTS)
+    for _ in range(FIT_PASSES - 1):
+        window = min(float(window_cap), max(FIT_CYCLES / fit.rate, floor))
+        fit = fit_pulse_decay(t, power, t_off, window, settle_delay,
+                              min_points=MIN_INITIAL_POINTS)
     return fit
 
 
@@ -379,15 +382,14 @@ def collective_decay_vs_od(od_values, detuning, beta=BETA_DEFAULT,
                            duration=DURATION_150NS, rise_fall=RISE_FALL_850PS,
                            photon_number=2.0, span=1024.0, grid_points=2 ** 15,
                            window_long=WINDOW_LONG, window_short=WINDOW_SHORT,
-                           window_short_od=WINDOW_SHORT_OD, fit_cycles=2.0,
-                           settle_delay=SETTLE_DELAY, rate_settle=0.02):
+                           window_short_od=WINDOW_SHORT_OD, settle_delay=SETTLE_DELAY):
     """Forward pulse decay rate and collective rate across an OD sweep.
 
     Uses the forward cascade (position independent).  The fit window is
     capped at window_long (window_short above window_short_od, where the
-    decays are much faster) and then adapted to ~fit_cycles decay times so
-    the fit tracks the initial flash decay; fit_cycles=None keeps the
-    fixed-window fit.
+    decays are much faster) and then adapted by fit_initial_decay so the
+    fit tracks the initial flash decay.  Gamma_coll is read at the default
+    settle delay of collective_rate_at_switchoff.
     """
     t = time_grid(span, grid_points)
     pulse = synthesize_pulse(t, duration, rise_fall, carrier_detuning=float(detuning),
@@ -398,12 +400,8 @@ def collective_decay_vs_od(od_values, detuning, beta=BETA_DEFAULT,
         ens = EnsembleSpec.from_od(od, beta)
         out = propagate_pulse(pulse, transfer_unidirectional(delta, ens))
         cap = window_long if od <= window_short_od else window_short
-        if fit_cycles is None:
-            fit = fit_pulse_decay(out.t, out.power(), pulse.switch_off, cap, settle_delay)
-        else:
-            fit = fit_initial_decay(out.t, out.power(), pulse.switch_off, cap,
-                                    settle_delay, fit_cycles)
+        fit = fit_initial_decay(out.t, out.power(), pulse.switch_off, cap, settle_delay)
         traj = atom_dynamics(pulse, ens, trace_atoms=())
-        gamma = collective_rate_at_switchoff(traj, pulse.switch_off, rate_settle)
+        gamma = collective_rate_at_switchoff(traj, pulse.switch_off)
         points.append(CollectiveDecayPoint(float(od), ens.n_atoms, fit, gamma))
     return points

@@ -27,7 +27,7 @@ from .fitting import (
     disorder_averaged_forward,
     ring_multipass,
 )
-from .physics import EnsembleSpec, Units
+from .physics import EnsembleSpec, Units, resonant_od
 from .pulses import atom_dynamics, propagate_pulse, synthesize_pulse, time_grid
 from .spectra import transfer_unidirectional
 
@@ -323,6 +323,13 @@ def _ensemble(config: ScenarioConfig) -> EnsembleSpec:
     return EnsembleSpec.from_od(config.od, config.beta)
 
 
+def _od(config: ScenarioConfig) -> float:
+    """The configured OD, or the resonant OD of the configured atom number."""
+    if config.od is not None:
+        return config.od
+    return resonant_od(config.n_atoms, config.beta)
+
+
 def _pulse(config: ScenarioConfig, ws: _Workspace, carrier):
     t = time_grid(config.span, config.grid_points)
     return synthesize_pulse(t, ws.duration, ws.rise_fall, carrier_detuning=carrier,
@@ -391,7 +398,7 @@ def _run_fig3(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
 
 def _run_fig4(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
     sweep = backward_decay_sweep(
-        config.od, config.detunings, beta=config.beta,
+        _od(config), config.detunings, beta=config.beta,
         n_configs=config.n_configs, seed=config.seed,
         duration=ws.duration, rise_fall=ws.rise_fall,
         photon_number=config.photon_number, span=config.span,
@@ -418,7 +425,7 @@ def _run_fig5(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
     files["roundtrip_rates"] = write_csv(
         out / "roundtrip_rates.csv", config.scenario,
         [("roundtrip", "", rt_col),
-         ("od_total", "", [config.od * m for m in rt_col]),
+         ("od_total", "", [_od(config) * m for m in rt_col]),
          ("cavity_rate", "gamma0", ring.cavity_rate),
          ("single_pass_rate", "gamma0", ring.single_pass_rate),
          ("flash_to_plateau", "ratio", ring.flash_ratio)])

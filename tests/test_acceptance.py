@@ -258,9 +258,9 @@ def test_c7_rate_at_seventh_roundtrip_as_stated(cavity_run):
 # 8. property suite
 
 
-def test_c8_property_suite():
-    results = selfcheck.run_all(n_workers=2)
-    failed = [r.name for r in results if not r.passed]
-    assert not failed, f"self-checks failed: {failed}"
-    report(8, f"all {len(results)} structural invariants hold "
-              f"({', '.join(r.name for r in results)})")
+@pytest.mark.parametrize("check", selfcheck.ALL_CHECKS,
+                         ids=lambda check: check.__name__.removeprefix("check_"))
+def test_c8_property_suite(check):
+    result = check()
+    assert result.passed, f"{result.name}: {result.detail}"
+    report(8, f"{result.name}: {result.detail}")

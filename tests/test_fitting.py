@@ -48,12 +48,6 @@ class TestFitPulseDecay:
                  for w in (1.0, 2.5, 5.0)]
         assert max(rates) - min(rates) < 1e-9
 
-    def test_self_consistency(self):
-        t, y = exp_trace(rate=3.3, amp=0.7)
-        fit = fit_pulse_decay(t, y, 0.0, 1.0, settle_delay=0.0)
-        refit = fit_pulse_decay(t, fit.model(t), 0.0, 1.0, settle_delay=0.0)
-        assert refit.rate == pytest.approx(fit.rate, rel=1e-9)
-
     def test_rejects_nonpositive_samples(self):
         t = np.linspace(0.0, 2.0, 500)
         y = np.exp(-t)

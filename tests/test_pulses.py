@@ -189,15 +189,6 @@ class TestAtomDynamics:
         traj = atom_dynamics(pulse, EnsembleSpec.uniform(10, 0.02))
         assert traj.energy[-1] < 1e-9 * traj.energy.max()
 
-    def test_gamma_weighted_average_identity(self):
-        pulse = small_pulse(carrier=2.0)
-        traj = atom_dynamics(pulse, EnsembleSpec.uniform(40, 0.02))
-        dp = np.gradient(traj.traces, pulse.dt, axis=1)
-        window = (traj.t > pulse.switch_off + 0.1) & (traj.t < pulse.switch_off + 3.0)
-        weighted = -np.sum(dp[:, window], axis=0) / traj.energy[window]
-        err = np.abs(weighted - traj.gamma_coll[window]) / np.abs(traj.gamma_coll[window])
-        assert np.max(err) < 1e-6
-
     def test_trace_selection_and_stride(self):
         pulse = small_pulse()
         traj = atom_dynamics(pulse, EnsembleSpec.uniform(12, 0.02),

@@ -10,8 +10,10 @@ from waveqed import (
     config_to_dict,
     emit_config,
     parse_config,
+    resonant_od,
     run_scenario,
     scenario_defaults,
+    selfcheck,
 )
 from waveqed.cli import main
 from waveqed.scenarios import SCENARIOS
@@ -174,6 +176,21 @@ class TestRunScenario:
         header = files["atom_traces"].read_text().splitlines()[1].split(",")
         assert header == ["time_ns", "p_atom_1_probability", "p_atom_50_probability"]
 
+    @pytest.mark.parametrize("scenario, extra", [
+        ("fig4", {"detunings": [0.5, 3.0], "disorder": {"n_configs": 2}}),
+        ("fig5", {"cavity": {"roundtrips": 2}}),
+    ])
+    def test_n_atoms_sizes_like_its_resonant_od(self, tmp_path, scenario, extra):
+        # n_atoms in place of od gives the CSVs of the resonant OD of that many atoms
+        by_atoms = run_scenario(config_from_dict(
+            tiny_custom(tmp_path / "n", scenario=scenario, od=None, n_atoms=40, **extra)))
+        by_od = run_scenario(config_from_dict(
+            tiny_custom(tmp_path / "od", scenario=scenario, od=resonant_od(40, 0.55e-2), **extra)))
+        assert sorted(by_atoms) == sorted(by_od)
+        for name, path in by_atoms.items():
+            if name != "manifest":
+                assert path.read_bytes() == by_od[name].read_bytes()
+
     def test_s1_small_run(self, tmp_path):
         raw = {
             "scenario": "s1",
@@ -240,3 +257,24 @@ class TestCli:
         assert (tmp_path / "sweep" / "detuning=2.0" / "manifest.json").exists()
         m = json.loads((tmp_path / "sweep" / "detuning=2.0" / "manifest.json").read_text())
         assert m["config"]["detuning"] == 2.0
+
+    def test_sweep_rejects_value_leaving_its_directory(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_custom(tmp_path / "base")))
+        assert main(["sweep", "--config", str(path), "--param", "output.directory",
+                     "--values", "ok,a/../../../x"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["field"] == "output.directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing ran
+
+    @pytest.mark.parametrize("second_passes, code, tail", [
+        (False, 1, ["FAIL second: off by one", "1/2 checks passed"]),
+        (True, 0, ["PASS second: off by one", "2/2 checks passed"]),
+    ])
+    def test_check_reports_every_check(self, monkeypatch, capsys, second_passes, code, tail):
+        checks = (lambda: selfcheck.CheckResult("first", True, "ok"),
+                  lambda: selfcheck.CheckResult("second", second_passes, "off by one"))
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", checks)
+        assert main(["check"]) == code
+        assert capsys.readouterr().out.splitlines() == ["PASS first: ok"] + tail
