@@ -9,23 +9,16 @@ The figure pipelines live here too, so scenarios and acceptance tests share them
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
 
 from .disorder import DisorderModel, average_observable
-from .physics import BETA_DEFAULT, EnsembleSpec, Units, od_to_atom_number
-from .pulses import (
-    atom_dynamics,
-    collective_rate_at_switchoff,
-    propagate_pulse,
-    synthesize_pulse,
-    time_grid,
-)
+from .physics import EnsembleSpec, Units
+from .pulses import atom_dynamics, collective_rate_at_switchoff, propagate_pulse
 from .spectra import (
     RECURSION_EPS,
-    CavitySpec,
     TransferSpectrum,
     _recursion,
     transfer_bidirectional,
@@ -33,18 +26,12 @@ from .spectra import (
     transfer_unidirectional,
 )
 
-_UNITS = Units()
-SETTLE_DELAY = _UNITS.time_from_si(1e-9)       # skip the switch-off transient
-WINDOW_LONG = _UNITS.time_from_si(30e-9)       # default fit window
-WINDOW_SHORT = _UNITS.time_from_si(15e-9)      # fit window for fast decays
-WINDOW_SHORT_OD = 20.7                         # switch point between the two
+SETTLE_DELAY = Units().time_from_si(1e-9)      # skip the switch-off transient
 FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
 FIT_CYCLES = 2.0                               # initial-decay window, in decay times
 FIT_PASSES = 3                                 # bootstrap fit, then refits at the adapted window
 BOOTSTRAP_WINDOW = 0.3                         # first-pass window (1/Gamma0) of the initial decay
 MIN_INITIAL_POINTS = 20                        # fewest samples in an initial-decay window
-DURATION_150NS = _UNITS.time_from_si(150e-9)
-RISE_FALL_850PS = _UNITS.time_from_si(850e-12)
 
 
 @dataclass(frozen=True)
@@ -230,28 +217,23 @@ def _directional_powers(pulses):
     return observable
 
 
-def backward_decay_sweep(od, detunings, beta=BETA_DEFAULT, n_configs=64, seed=0,
-                         duration=DURATION_150NS, rise_fall=RISE_FALL_850PS,
-                         photon_number=1.0, span=1024.0, grid_points=2 ** 14,
-                         forward_window=WINDOW_SHORT, backward_window=WINDOW_LONG,
-                         settle_delay=SETTLE_DELAY, n_workers=1):
+def backward_decay_sweep(pulse, n_atoms, detunings, beta, n_configs, seed, forward_window,
+                         backward_window, settle_delay, n_workers=1):
     """Disorder-averaged forward/backward decay rates versus detuning.
 
-    For each carrier detuning, the pulse is propagated through the
-    two-way transmission and reflection of every random configuration,
+    For each carrier detuning, the pulse (its envelope; the carrier is
+    replaced) is propagated through the two-way transmission and
+    reflection of each of n_configs random configurations of n_atoms,
     the power traces are averaged, and each direction is fitted with the
     initial-rate protocol under its own window cap (forward decays are
     collective and fast, backward light decays near the intrinsic rate).
-    Carriers a whole number of grid steps (2 span / grid_points) apart
-    share one recursion per configuration on their union grid.  Power
+    Carriers a whole number of detuning-grid steps apart share one
+    recursion per configuration on their union grid.  Power
     traces are symmetric under detuning sign flip, so sweeping positive
     detunings covers |delta|.
     """
-    n_atoms = od_to_atom_number(od, beta)
     model = DisorderModel(n_atoms=n_atoms, beta_mean=beta, seed=seed)
-    t = time_grid(span, grid_points)
-    pulses = [synthesize_pulse(t, duration, rise_fall, carrier_detuning=float(carrier),
-                               photon_number=photon_number) for carrier in detunings]
+    pulses = [replace(pulse, carrier_detuning=float(carrier)) for carrier in detunings]
     mean, _ = average_observable(model, n_configs, _directional_powers(pulses),
                                  n_workers=n_workers)
     results = []
@@ -264,8 +246,7 @@ def backward_decay_sweep(od, detunings, beta=BETA_DEFAULT, n_configs=64, seed=0,
     return results
 
 
-def disorder_averaged_forward(pulse, n_atoms, beta=BETA_DEFAULT, n_configs=1000, seed=0,
-                              n_workers=1):
+def disorder_averaged_forward(pulse, n_atoms, beta, n_configs, seed, n_workers=1):
     """Forward output power of the cascade and of the disorder-averaged chain.
 
     Returns (cascade, mean, stderr): the output power of the uniform
@@ -309,19 +290,19 @@ class RingMultipass:
     single_pass_segments: np.ndarray
 
 
-def ring_multipass(pulse, ensemble, t_rt, t_c, tau_rt, phi0, roundtrips, start,
-                   settle_delay=SETTLE_DELAY) -> RingMultipass:
+def ring_multipass(pulse, ensemble, cavity, roundtrips, start, settle_delay) -> RingMultipass:
     """Ring multi-pass build-up compared with single passes at OD_tot = m * OD.
 
-    tau_rt is snapped to whole grid samples so the overlays are not blurred
-    by sub-sample misalignment.  Roundtrip m opens half a time unit before
-    start + m * tau; the m-pass cascade is read in the window m * tau earlier.
+    The cavity's tau_rt is snapped to whole grid samples so the overlays are
+    not blurred by sub-sample misalignment.  Roundtrip m opens half a time
+    unit before start + m * tau; the m-pass cascade is read in the window
+    m * tau earlier.
     """
     t, delta = pulse.t, pulse.detunings()
-    shift = max(1, round(tau_rt / pulse.dt))
+    shift = max(1, round(cavity.tau_rt / pulse.dt))
     tau = shift * pulse.dt
+    cavity = replace(cavity, tau_rt=tau)
     single = transfer_unidirectional(delta, ensemble)
-    cavity = CavitySpec(t_rt=t_rt, t_c=t_c, tau_rt=tau, phi0=phi0)
     power = propagate_pulse(pulse, transfer_cavity(single, cavity)).power()
     unity = TransferSpectrum(delta, np.ones(delta.size, dtype=complex))
     reference = propagate_pulse(pulse, transfer_cavity(unity, cavity)).power()
@@ -378,22 +359,17 @@ def fit_initial_decay(t, power, t_off, window_cap, settle_delay=SETTLE_DELAY) ->
     return fit
 
 
-def collective_decay_vs_od(od_values, detuning, beta=BETA_DEFAULT,
-                           duration=DURATION_150NS, rise_fall=RISE_FALL_850PS,
-                           photon_number=2.0, span=1024.0, grid_points=2 ** 15,
-                           window_long=WINDOW_LONG, window_short=WINDOW_SHORT,
-                           window_short_od=WINDOW_SHORT_OD, settle_delay=SETTLE_DELAY):
+def collective_decay_vs_od(pulse, od_values, beta, window_long, window_short, window_short_od,
+                           settle_delay):
     """Forward pulse decay rate and collective rate across an OD sweep.
 
-    Uses the forward cascade (position independent).  The fit window is
+    Propagates the pulse through the forward cascade (position
+    independent) of a uniform ensemble at each OD.  The fit window is
     capped at window_long (window_short above window_short_od, where the
     decays are much faster) and then adapted by fit_initial_decay so the
     fit tracks the initial flash decay.  Gamma_coll is read at the default
     settle delay of collective_rate_at_switchoff.
     """
-    t = time_grid(span, grid_points)
-    pulse = synthesize_pulse(t, duration, rise_fall, carrier_detuning=float(detuning),
-                             photon_number=photon_number)
     delta = pulse.detunings()
     points = []
     for od in od_values:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import EnsembleSpec
+from .physics import EnsembleSpec, single_atom_coefficients
 
 RECURSION_EPS = 1e-12  # denominator-modulus floor flagged as degenerate
 
@@ -90,10 +90,6 @@ class TransferSpectrum:
         return np.abs(self.amplitude) ** 2
 
 
-def _single_atom_t(delta, beta, shift):
-    return 1.0 - beta / (0.5 + 1j * (delta - shift))
-
-
 def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
     """Forward amplitude transmission of the cascade.
 
@@ -105,11 +101,11 @@ def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
     delta = _validate_grid(delta)
     beta, shift = ensemble.beta, ensemble.shift
     if np.ptp(beta) == 0.0 and np.ptp(shift) == 0.0:
-        amp = _single_atom_t(delta, beta[0], shift[0]) ** ensemble.n_atoms
+        amp = single_atom_coefficients(delta - shift[0], beta[0])[0] ** ensemble.n_atoms
     else:
         amp = np.ones(delta.size, dtype=complex)
         for b, s in zip(beta, shift):
-            amp *= _single_atom_t(delta, b, s)
+            amp *= single_atom_coefficients(delta - s, b)[0]
     return TransferSpectrum(delta, amp)
 
 
@@ -121,7 +117,7 @@ def _cascade_amplitudes(delta, ensemble: EnsembleSpec):
     """
     prefix = np.ones(delta.size, dtype=complex)
     for b, s in zip(ensemble.beta, ensemble.shift):
-        t_n = _single_atom_t(delta, b, s)
+        t_n = single_atom_coefficients(delta - s, b)[0]
         yield 1j * prefix * (t_n - 1.0) / math.sqrt(b)
         prefix *= t_n
 

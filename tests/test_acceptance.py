@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from waveqed import (
+    CavitySpec,
     EnsembleSpec,
     Units,
     atom_dynamics,
-    backward_decay_sweep,
-    collective_decay_vs_od,
+    config_from_dict,
     detuning_grid,
     disorder_averaged_forward,
     fit_pulse_decay,
@@ -32,6 +32,7 @@ from waveqed import (
     propagate_pulse,
     resonant_od,
     ring_multipass,
+    run_scenario,
     selfcheck,
     synthesize_pulse,
     time_grid,
@@ -49,6 +50,15 @@ BETA = 0.55e-2
 
 def report(criterion, detail):
     print(f"ACCEPTANCE {criterion} PASS: {detail}")
+
+
+def run_columns(out_dir, raw, csv_name):
+    """Run a scenario as the CLI does and read one CSV back by column name.
+
+    The CSVs hold repr floats, so the columns are exactly the computed values.
+    """
+    run_scenario(config_from_dict({**raw, "output": {"directory": str(out_dir)}}))
+    return np.genfromtxt(out_dir / csv_name, delimiter=",", skip_header=1, names=True)
 
 
 # --------------------------------------------------------------------------
@@ -144,18 +154,15 @@ def test_c4_single_atom_limit():
 # 5. pulse decay rate and collective rate vs OD
 
 
-OD_SWEEP = (2.0, 5.0, 8.0, 11.0, 14.0, 17.0, 20.0, 23.0, 26.0, 29.0, 32.0, 34.0)
-
-
 @pytest.fixture(scope="module")
-def od_sweep():
-    return collective_decay_vs_od(OD_SWEEP, 3.8, beta=BETA)
+def od_sweep(tmp_path_factory):
+    """fig3 at its defaults: ODs 2 to 34 at carrier 3.8."""
+    d = run_columns(tmp_path_factory.mktemp("fig3"), {"scenario": "fig3"}, "decay_rate_vs_od.csv")
+    return d["od"], d["pulse_decay_rate_gamma0"], d["gamma_coll_gamma0"]
 
 
 def test_c5_rate_trend_with_od(od_sweep):
-    ods = np.array([p.od for p in od_sweep])
-    rates = np.array([p.pulse_fit.rate for p in od_sweep])
-    gammas = np.array([p.gamma_coll for p in od_sweep])
+    ods, rates, gammas = od_sweep
 
     assert np.all(np.diff(rates) > 0), "fitted rate must increase with OD"
     slope, intercept = np.polyfit(ods, rates, 1)
@@ -178,9 +185,9 @@ def test_c5_rate_trend_with_od(od_sweep):
            "unattainable in the model",
 )
 def test_c5_gamma_ordering_as_stated(od_sweep):
-    large = [p for p in od_sweep if p.od >= 26.0]
-    rates = np.array([p.pulse_fit.rate for p in large])
-    gammas = np.array([p.gamma_coll for p in large])
+    ods, rates, gammas = od_sweep
+    large = ods >= 26.0
+    rates, gammas = rates[large], gammas[large]
     print(f"ACCEPTANCE 5 (ordering clause): gamma_coll {np.round(gammas, 2)} vs "
           f"pulse rate {np.round(rates, 2)} at OD >= 26")
     assert np.all(gammas >= rates)
@@ -190,11 +197,12 @@ def test_c5_gamma_ordering_as_stated(od_sweep):
 # 6. forward/backward asymmetry
 
 
-def test_c6_directional_asymmetry():
+def test_c6_directional_asymmetry(tmp_path):
     detunings = (0.5, 2.5, 4.5, 6.5)
-    sweep = backward_decay_sweep(26.0, detunings, beta=BETA, n_configs=48, seed=20)
-    backward = np.array([r.backward.rate for r in sweep])
-    forward = np.array([r.forward.rate for r in sweep])
+    d = run_columns(tmp_path, {"scenario": "fig4", "detunings": list(detunings),
+                               "disorder": {"n_configs": 48, "seed": 20}},
+                    "decay_rate_vs_detuning.csv")
+    backward, forward = d["backward_rate_gamma0"], d["forward_rate_gamma0"]
     assert abs(backward[0] - 1.0) < 0.30
     assert forward[0] > 5.0
     assert np.all(np.diff(backward) > 0), "backward rate must grow with |detuning|"
@@ -211,9 +219,10 @@ def test_c6_directional_asymmetry():
 def cavity_run():
     pulse = synthesize_pulse(time_grid(2048.0, 2 ** 20), 120 * NS, 0.85 * NS,
                              carrier_detuning=8.7, photon_number=1.0)
-    ring = ring_multipass(pulse, EnsembleSpec.from_od(14.0, BETA), t_rt=0.85, t_c=0.9,
-                          tau_rt=UNITS.time_from_si(220e-9), phi0=0.0, roundtrips=7,
-                          start=1.0, settle_delay=SETTLE_DELAY)
+    ring = ring_multipass(
+        pulse, EnsembleSpec.from_od(14.0, BETA),
+        CavitySpec(t_rt=0.85, t_c=0.9, tau_rt=UNITS.time_from_si(220e-9), phi0=0.0),
+        roundtrips=7, start=1.0, settle_delay=SETTLE_DELAY)
     mismatch = [float(np.max(np.abs(cavity / cavity.max() - single / single.max())))
                 for cavity, single in zip(ring.cavity_segments, ring.single_pass_segments)]
     return np.array(mismatch), ring.cavity_rate, ring.flash_ratio

@@ -12,15 +12,17 @@ from waveqed import (
     fit_pulse_decay,
     propagate_pulse,
     residual_spectrum,
-    resonant_od,
     synthesize_pulse,
     time_grid,
     transfer_bidirectional,
 )
 from waveqed import fitting
+from waveqed.fitting import SETTLE_DELAY
 
 UNITS = Units()
 NS = UNITS.time_from_si(1e-9)
+WINDOW_SHORT = UNITS.time_from_si(15e-9)  # the fig4 forward window
+WINDOW_LONG = UNITS.time_from_si(30e-9)   # the fig4 backward window
 
 
 def exp_trace(rate=1.0, amp=1.0, t_end=4.0, n=4000):
@@ -118,10 +120,10 @@ class TestResidualSpectrum:
 
 class TestBackwardSweep:
     def test_single_atom_both_directions_intrinsic(self):
-        od1 = resonant_od(1, 0.0055)
-        sweep = backward_decay_sweep(od1, [0.0], n_configs=2, seed=1,
-                                     span=256.0, grid_points=2 ** 12,
-                                     duration=3.0, rise_fall=0.2)
+        pulse = synthesize_pulse(time_grid(256.0, 2 ** 12), 3.0, 0.2)
+        sweep = backward_decay_sweep(pulse, 1, [0.0], 0.0055, n_configs=2, seed=1,
+                                     forward_window=WINDOW_SHORT, backward_window=WINDOW_LONG,
+                                     settle_delay=SETTLE_DELAY)
         assert sweep[0].forward.rate == pytest.approx(1.0, rel=5e-3)
         assert sweep[0].backward.rate == pytest.approx(1.0, rel=5e-3)
 
@@ -151,9 +153,9 @@ def per_carrier_reference(carriers, n_configs, seed):
         mean, _ = average_observable(model, n_configs, both_directions)
         traces.append(mean)
         rates.append([fit_initial_decay(pulse.t, mean[0], pulse.switch_off,
-                                        fitting.WINDOW_SHORT).rate,
+                                        WINDOW_SHORT).rate,
                       fit_initial_decay(pulse.t, mean[1], pulse.switch_off,
-                                        fitting.WINDOW_LONG).rate])
+                                        WINDOW_LONG).rate])
     return np.array(traces), np.array(rates)
 
 
@@ -182,9 +184,9 @@ class TestSharedGridSweep:
             return recursion(*args, **kwargs)
 
         monkeypatch.setattr(fitting, "_recursion", counted)
-        sweep = backward_decay_sweep(resonant_od(SMALL_ATOMS, SMALL_BETA), carriers,
-                                     beta=SMALL_BETA, n_configs=n_configs, seed=seed,
-                                     **SMALL_GRID)
+        sweep = backward_decay_sweep(small_pulses(carriers[:1])[0], SMALL_ATOMS, carriers,
+                                     SMALL_BETA, n_configs, seed, WINDOW_SHORT, WINDOW_LONG,
+                                     SETTLE_DELAY)
         assert len(calls) == n_configs * n_groups
         rates = np.array([[r.forward.rate, r.backward.rate] for r in sweep])
         assert np.all(np.abs(rates / ref_rates - 1.0) <= 1e-12)

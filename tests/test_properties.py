@@ -15,7 +15,7 @@ from waveqed import (
     time_grid,
     transfer_unidirectional,
 )
-from waveqed.fitting import SETTLE_DELAY, WINDOW_SHORT
+from waveqed.fitting import SETTLE_DELAY
 
 
 def test_edge_shape_sensitivity_is_small():
@@ -24,6 +24,7 @@ def test_edge_shape_sensitivity_is_small():
     # doubled around its nominal 850 ps
     units = Units()
     duration = units.time_from_si(150e-9)
+    window = units.time_from_si(15e-9)
     t = time_grid(2048.0, 2 ** 16)
     ens = EnsembleSpec.from_od(19.3)
     rates, gammas = [], []
@@ -32,7 +33,7 @@ def test_edge_shape_sensitivity_is_small():
                                  carrier_detuning=3.8, photon_number=2.0)
         out = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(), ens))
         fit = fit_initial_decay(out.t, out.power(), pulse.switch_off,
-                                WINDOW_SHORT, SETTLE_DELAY)
+                                window, SETTLE_DELAY)
         traj = atom_dynamics(pulse, ens, trace_atoms=())
         rates.append(fit.rate)
         gammas.append(collective_rate_at_switchoff(traj, pulse.switch_off))

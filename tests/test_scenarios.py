@@ -6,14 +6,20 @@ import pytest
 
 from waveqed import (
     ConfigError,
+    Units,
+    backward_decay_sweep,
+    collective_decay_vs_od,
     config_from_dict,
     config_to_dict,
     emit_config,
+    od_to_atom_number,
     parse_config,
     resonant_od,
     run_scenario,
     scenario_defaults,
     selfcheck,
+    synthesize_pulse,
+    time_grid,
 )
 from waveqed.cli import main
 from waveqed.scenarios import SCENARIOS
@@ -190,6 +196,37 @@ class TestRunScenario:
         for name, path in by_atoms.items():
             if name != "manifest":
                 assert path.read_bytes() == by_od[name].read_bytes()
+
+    @pytest.mark.parametrize("scenario, extra", [
+        ("fig3", {"od_values": [2.0, 5.0], "grid": {"points": 2 ** 14}}),
+        ("fig4", {"detunings": [0.5], "disorder": {"n_configs": 2}}),
+    ])
+    def test_sweeps_honour_pulse_start(self, tmp_path, scenario, extra):
+        # the rates of a pulse started at 60 ns, not at the default start
+        config = config_from_dict({"scenario": scenario, "pulse": {"start_ns": 60.0},
+                                   "output": {"directory": str(tmp_path)}, **extra})
+        files = run_scenario(config)
+        ns = lambda x: Units(config.gamma0_hz).time_from_si(x * 1e-9)
+        pulse = synthesize_pulse(time_grid(config.span, config.grid_points),
+                                 ns(config.duration_ns), ns(config.rise_fall_ns),
+                                 carrier_detuning=config.detuning or 0.0,
+                                 photon_number=config.photon_number, start=ns(60.0))
+        if scenario == "fig3":
+            points = collective_decay_vs_od(pulse, config.od_values, config.beta, ns(30.0),
+                                            ns(15.0), config.fit_od_threshold, ns(1.0))
+            expected = {"pulse_decay_rate_gamma0": [p.pulse_fit.rate for p in points],
+                        "gamma_coll_gamma0": [p.gamma_coll for p in points]}
+            csv = files["decay_rate_vs_od"]
+        else:
+            sweep = backward_decay_sweep(pulse, od_to_atom_number(config.od, config.beta),
+                                         config.detunings, config.beta, config.n_configs,
+                                         config.seed, ns(15.0), ns(30.0), ns(1.0))
+            expected = {"forward_rate_gamma0": [r.forward.rate for r in sweep],
+                        "backward_rate_gamma0": [r.backward.rate for r in sweep]}
+            csv = files["decay_rate_vs_detuning"]
+        written = np.genfromtxt(csv, delimiter=",", skip_header=1, names=True)
+        for name, rates in expected.items():
+            assert np.atleast_1d(written[name]).tolist() == rates  # repr floats: exact
 
     def test_s1_small_run(self, tmp_path):
         raw = {

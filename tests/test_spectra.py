@@ -261,3 +261,39 @@ class TestCavity:
         cav = CavitySpec(t_rt=1.0, t_c=1.0, tau_rt=math.pi / 2.0, phi0=0.0)
         with pytest.warns(DegenerateDenominatorWarning):
             transfer_cavity(unity, cav)
+
+
+def for_random_chains(law):
+    """Check law(beta, phase) on 50 derandomized chains of up to 40 atoms."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chain = st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.005, 0.45), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)))
+    settings = hypothesis.settings(derandomize=True, max_examples=50, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(chain))(lambda c: law(np.array(c[0]), np.array(c[1])))()
+
+
+class TestRandomChainLaws:
+    """Oracle-free laws of the two-way recursion on random passive chains."""
+
+    GRID = np.linspace(-19.5, 19.5, 64)
+
+    def test_reciprocity(self):
+        # the mirrored chain sits at x' = L - x, so theta' = -theta up to a
+        # global phase, which leaves the transmission unchanged
+        def law(beta, phase):
+            forward, _ = transfer_bidirectional(self.GRID, EnsembleSpec(beta, phase, 0.0))
+            mirrored, _ = transfer_bidirectional(
+                self.GRID, EnsembleSpec(beta[::-1], (-phase)[::-1], 0.0))
+            assert np.max(np.abs(mirrored.amplitude - forward.amplitude)) <= 1e-12
+
+        for_random_chains(law)
+
+    def test_passivity(self):
+        def law(beta, phase):
+            t_spec, r_spec = transfer_bidirectional(self.GRID, EnsembleSpec(beta, phase, 0.0))
+            assert np.max(t_spec.power() + r_spec.power()) <= 1.0 + 1e-12
+
+        for_random_chains(law)
