@@ -5,7 +5,11 @@ configuration i is keyed by SeedSequence((seed, i)), so streams never
 depend on evaluation order or worker count.  Averages accumulate in a
 fixed reduction order (numpy pairwise sums inside fixed-size chunks taken
 in index order, chunk partials added sequentially), which makes the mean
-bitwise-stable for a given (seed, n_configs) regardless of parallelism.
+and standard error bitwise-stable for a given (seed, n_configs) regardless
+of parallelism.  Each chunk also returns its sum of squared deviations
+from the chunk mean, and these merge pairwise (Chan, Golub & LeVeque
+1979), so the variance does not cancel when the spread is tiny against
+the mean.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ def _chunk_sums(model, observable, start, stop, first):
                 f"expected {first.shape}"
             )
         block[k] = value
-    return np.sum(block, axis=0), np.sum(np.abs(block) ** 2, axis=0)
+    total = np.sum(block, axis=0)
+    return total, np.sum(np.abs(block - total / len(block)) ** 2, axis=0)
 
 
 def average_observable(model: DisorderModel, n_configs: int, observable,
@@ -108,17 +113,20 @@ def average_observable(model: DisorderModel, n_configs: int, observable,
     # the running totals stay alive rather than every chunk's sums.
     parallel = n_workers > 1 and len(bounds) > 1
     with ThreadPoolExecutor(max_workers=int(n_workers)) if parallel else nullcontext() as pool:
-        total = total_sq = None
-        for part_sum, part_sq in (pool.map if parallel else map)(run, bounds):
-            if total is None:
-                total, total_sq = np.zeros(shape, dtype=part_sum.dtype), np.zeros(shape)
+        count = total = m2 = 0
+        parts = (pool.map if parallel else map)(run, bounds)
+        for (start, stop), (part_sum, part_m2) in zip(bounds, parts):
+            size = stop - start
+            if count:
+                gap = part_sum / size - total / count
+                m2 += np.abs(gap) ** 2 * (count * size / (count + size))
+            m2 += part_m2
             total += part_sum
-            total_sq += part_sq
+            count += size
 
     mean = total / n_configs
     if n_configs > 1:
-        var = (total_sq - n_configs * np.abs(mean) ** 2) / (n_configs - 1)
-        stderr = np.sqrt(np.clip(var, 0.0, None) / n_configs)
+        stderr = np.sqrt(m2 / (n_configs - 1) / n_configs)
     else:
         stderr = np.zeros(shape)
     return mean, stderr

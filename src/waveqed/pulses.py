@@ -153,10 +153,6 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
                          switch_off=float(footprint[1]))
 
 
-def _spectrum_fft_order(pulse: PulseWaveform):
-    return np.fft.fft(pulse.envelope)
-
-
 def _check_alias(pulse: PulseWaveform, spectrum):
     power = np.abs(spectrum) ** 2
     total = float(np.sum(power))
@@ -189,7 +185,7 @@ def propagate_pulse(pulse: PulseWaveform, medium: TransferSpectrum) -> PulseWave
             f"(medium spans [{medium.delta[0]:.6g}, {medium.delta[-1]:.6g}], "
             f"pulse expects [{expected[0]:.6g}, {expected[-1]:.6g}])"
         )
-    spectrum = _spectrum_fft_order(pulse)
+    spectrum = np.fft.fft(pulse.envelope)
     _check_alias(pulse, spectrum)
     response = np.fft.ifftshift(medium.amplitude)
     out = np.fft.ifft(spectrum * response)
@@ -230,7 +226,7 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     trace_atoms selects which atoms to store (0-based; None = all, () =
     none); trace_stride subsamples the stored traces in time.
     """
-    spectrum = _spectrum_fft_order(pulse)
+    spectrum = np.fft.fft(pulse.envelope)
     _check_alias(pulse, spectrum)
     delta = pulse.carrier_detuning + 2.0 * math.pi * np.fft.fftfreq(pulse.t.size, d=pulse.dt)
     n_atoms = ensemble.n_atoms

@@ -295,33 +295,18 @@ def write_csv(path: Path, scenario: str, columns):
     return path
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """Natural-unit view of a ScenarioConfig."""
+# the time-resolved tables end this long after switch-off, in 1/Gamma0
+_TAIL = 15.0
 
-    units: Units
-    duration: float
-    rise_fall: float
-    start: float
-    tau_rt: float
-    window: float
-    window_short: float
-    settle: float
 
-    @classmethod
-    def build(cls, config: ScenarioConfig):
-        units = Units(config.gamma0_hz)
-        ns = lambda x: units.time_from_si(x * 1e-9)
-        return cls(
-            units=units,
-            duration=ns(config.duration_ns),
-            rise_fall=ns(config.rise_fall_ns),
-            start=ns(config.start_ns),
-            tau_rt=ns(config.roundtrip_ns),
-            window=ns(config.fit_window_ns),
-            window_short=ns(config.fit_window_short_ns),
-            settle=ns(config.settle_ns),
-        )
+def _ns(config: ScenarioConfig, value_ns):
+    """A duration in ns in natural time units (1/Gamma0)."""
+    return Units(config.gamma0_hz).time_from_si(value_ns * 1e-9)
+
+
+def _ns_column(config: ScenarioConfig, t):
+    """Natural times as a column in ns."""
+    return Units(config.gamma0_hz).time_to_si(t) * 1e9
 
 
 def _ensemble(config: ScenarioConfig) -> EnsembleSpec:
@@ -337,132 +322,124 @@ def _od(config: ScenarioConfig) -> float:
     return resonant_od(config.n_atoms, config.beta)
 
 
-def _pulse(config: ScenarioConfig, ws: _Workspace, carrier):
+def _pulse(config: ScenarioConfig, carrier):
     t = time_grid(config.span, config.grid_points)
-    return synthesize_pulse(t, ws.duration, ws.rise_fall, carrier_detuning=carrier,
-                            photon_number=config.photon_number, start=ws.start)
+    return synthesize_pulse(t, _ns(config, config.duration_ns), _ns(config, config.rise_fall_ns),
+                            carrier_detuning=carrier, photon_number=config.photon_number,
+                            start=_ns(config, config.start_ns))
 
 
 def _crop(t, t_max, stride):
     return np.arange(0, int(np.searchsorted(t, t_max)), stride)
 
 
-def _power_csv(path, config: ScenarioConfig, ws: _Workspace, t, t_max, powers):
+def _power_columns(config: ScenarioConfig, t, t_max, powers):
     """Time in ns and (name, trace) power columns in photons per ns, cropped at t_max."""
     idx = _crop(t, t_max, config.time_stride)
-    per_ns = 1e-9 / ws.units.time_to_si(1.0)  # photon flux per natural time -> photons per ns
-    return write_csv(path, config.scenario,
-                     [("time", "ns", ws.units.time_to_si(t[idx]) * 1e9)]
-                     + [(name, "photons_per_ns", power[idx] * per_ns) for name, power in powers])
+    per_ns = 1e-9 / Units(config.gamma0_hz).time_to_si(1.0)  # flux per natural time -> per ns
+    return ([("time", "ns", _ns_column(config, t[idx]))]
+            + [(name, "photons_per_ns", power[idx] * per_ns) for name, power in powers])
 
 
-def _run_fig2(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
-    files = _run_custom(config, ws, out)  # the transmitted power, as in the custom scenario
+def _transmitted(config: ScenarioConfig, pulse, ensemble) -> dict:
+    transmitted = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(), ensemble))
+    return {"transmitted_power": _power_columns(
+        config, pulse.t, pulse.switch_off + _TAIL,
+        [("input_power", pulse.power()), ("transmitted_power", transmitted.power())])}
+
+
+def _run_fig2(config: ScenarioConfig) -> dict:
     ens = _ensemble(config)
-    pulse = _pulse(config, ws, config.detuning)
+    pulse = _pulse(config, config.detuning)
+    tables = _transmitted(config, pulse, ens)
     traj = atom_dynamics(pulse, ens, trace_stride=max(1, config.time_stride // 2))
 
     # atoms past N clip to N; a label listed twice would repeat a column name
     labels = list(dict.fromkeys(min(a, ens.n_atoms) for a in config.trace_atoms))
     rows = [np.searchsorted(traj.atom_indices, a - 1) for a in labels]
-    tr_idx = _crop(traj.trace_t, pulse.switch_off + 15.0, 1)
-    columns = [("time", "ns", ws.units.time_to_si(traj.trace_t[tr_idx]) * 1e9)]
-    for label, row in zip(labels, rows):
-        columns.append((f"p_atom_{label}", "probability", traj.traces[row][tr_idx]))
-    files["atom_traces"] = write_csv(out / "atom_traces.csv", config.scenario, columns)
+    tr_idx = _crop(traj.trace_t, pulse.switch_off + _TAIL, 1)
+    tables["atom_traces"] = [("time", "ns", _ns_column(config, traj.trace_t[tr_idx]))] + [
+        (f"p_atom_{label}", "probability", traj.traces[row][tr_idx])
+        for label, row in zip(labels, rows)]
 
-    cm_idx = tr_idx[:: max(1, config.time_stride)]
-    atom_col, time_col, p_col = [], [], []
-    cm_t_ns = ws.units.time_to_si(traj.trace_t[cm_idx]) * 1e9
-    for row, atom in enumerate(traj.atom_indices):
-        atom_col.append(np.full(cm_idx.size, atom + 1.0))
-        time_col.append(cm_t_ns)
-        p_col.append(traj.traces[row][cm_idx])
-    files["atom_colormap"] = write_csv(
-        out / "atom_colormap.csv", config.scenario,
-        [("atom", "index", np.concatenate(atom_col)),
-         ("time", "ns", np.concatenate(time_col)),
-         ("excited_probability", "probability", np.concatenate(p_col))])
-    return files
+    cm_idx = tr_idx[::config.time_stride]
+    tables["atom_colormap"] = [
+        ("atom", "index", np.repeat(traj.atom_indices + 1.0, cm_idx.size)),
+        ("time", "ns", np.tile(_ns_column(config, traj.trace_t[cm_idx]), traj.atom_indices.size)),
+        ("excited_probability", "probability", traj.traces[:, cm_idx].ravel())]
+    return tables
 
 
-def _run_fig3(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
+def _run_fig3(config: ScenarioConfig) -> dict:
     points = collective_decay_vs_od(
-        _pulse(config, ws, config.detuning), config.od_values, config.beta,
-        ws.window, ws.window_short, config.fit_od_threshold, ws.settle)
-    return {"decay_rate_vs_od": write_csv(
-        out / "decay_rate_vs_od.csv", config.scenario,
-        [("od", "", [p.od for p in points]),
-         ("n_atoms", "", [float(p.n_atoms) for p in points]),
-         ("pulse_decay_rate", "gamma0", [p.pulse_fit.rate for p in points]),
-         ("gamma_coll", "gamma0", [p.gamma_coll for p in points]),
-         ("fit_rms_residual", "photons_per_time", [p.pulse_fit.rms_residual for p in points])])}
+        _pulse(config, config.detuning), config.od_values, config.beta,
+        _ns(config, config.fit_window_ns), _ns(config, config.fit_window_short_ns),
+        config.fit_od_threshold, _ns(config, config.settle_ns))
+    return {"decay_rate_vs_od": [
+        ("od", "", [p.od for p in points]),
+        ("n_atoms", "", [float(p.n_atoms) for p in points]),
+        ("pulse_decay_rate", "gamma0", [p.pulse_fit.rate for p in points]),
+        ("gamma_coll", "gamma0", [p.gamma_coll for p in points]),
+        ("fit_rms_residual", "photons_per_time", [p.pulse_fit.rms_residual for p in points])]}
 
 
-def _run_fig4(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
+def _run_fig4(config: ScenarioConfig) -> dict:
     sweep = backward_decay_sweep(
-        _pulse(config, ws, 0.0), _ensemble(config).n_atoms, config.detunings, config.beta,
-        config.n_configs, config.seed, ws.window_short, ws.window, ws.settle,
+        _pulse(config, 0.0), _ensemble(config).n_atoms, config.detunings, config.beta,
+        config.n_configs, config.seed, _ns(config, config.fit_window_short_ns),
+        _ns(config, config.fit_window_ns), _ns(config, config.settle_ns),
         n_workers=config.threads)
-    return {"decay_rate_vs_detuning": write_csv(
-        out / "decay_rate_vs_detuning.csv", config.scenario,
-        [("detuning", "gamma0", [r.detuning for r in sweep]),
-         ("forward_rate", "gamma0", [r.forward.rate for r in sweep]),
-         ("backward_rate", "gamma0", [r.backward.rate for r in sweep])])}
+    return {"decay_rate_vs_detuning": [
+        ("detuning", "gamma0", [r.detuning for r in sweep]),
+        ("forward_rate", "gamma0", [r.forward.rate for r in sweep]),
+        ("backward_rate", "gamma0", [r.backward.rate for r in sweep])]}
 
 
-def _run_fig5(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
-    pulse = _pulse(config, ws, config.detuning)
-    cavity = CavitySpec(t_rt=config.cavity_t_rt, t_c=config.cavity_t_c, tau_rt=ws.tau_rt,
-                        phi0=config.cavity_phi0)
-    ring = ring_multipass(pulse, _ensemble(config), cavity, config.roundtrips, ws.start,
-                          ws.settle)
-    files = {"cavity_trace": _power_csv(
-        out / "cavity_trace.csv", config, ws, pulse.t,
-        ws.start + (config.roundtrips + 1) * ring.tau,
-        [("outcoupled_power", ring.cavity_power), ("no_atom_power", ring.no_atom_power)])}
-
+def _run_fig5(config: ScenarioConfig) -> dict:
+    pulse = _pulse(config, config.detuning)
+    start = _ns(config, config.start_ns)
+    cavity = CavitySpec(t_rt=config.cavity_t_rt, t_c=config.cavity_t_c,
+                        tau_rt=_ns(config, config.roundtrip_ns), phi0=config.cavity_phi0)
+    ring = ring_multipass(pulse, _ensemble(config), cavity, config.roundtrips, start,
+                          _ns(config, config.settle_ns))
     rt_col = [float(m) for m in range(1, config.roundtrips + 1)]
-    files["roundtrip_rates"] = write_csv(
-        out / "roundtrip_rates.csv", config.scenario,
-        [("roundtrip", "", rt_col),
-         ("od_total", "", [_od(config) * m for m in rt_col]),
-         ("cavity_rate", "gamma0", ring.cavity_rate),
-         ("single_pass_rate", "gamma0", ring.single_pass_rate),
-         ("flash_to_plateau", "ratio", ring.flash_ratio)])
     sel = np.arange(0, ring.shift, config.time_stride)
 
     def overlay(segments):
         return np.concatenate([seg[sel] / seg.max() for seg in segments])
 
-    files["roundtrip_comparison"] = write_csv(
-        out / "roundtrip_comparison.csv", config.scenario,
-        [("roundtrip", "", np.repeat(rt_col, sel.size)),
-         ("local_time", "ns", np.tile(ws.units.time_to_si(ring.local_time[sel]) * 1e9,
-                                      config.roundtrips)),
-         ("cavity_power", "normalized", overlay(ring.cavity_segments)),
-         ("single_pass_power", "normalized", overlay(ring.single_pass_segments))])
-    return files
+    return {
+        "cavity_trace": _power_columns(
+            config, pulse.t, start + (config.roundtrips + 1) * ring.tau,
+            [("outcoupled_power", ring.cavity_power), ("no_atom_power", ring.no_atom_power)]),
+        "roundtrip_rates": [
+            ("roundtrip", "", rt_col),
+            ("od_total", "", [_od(config) * m for m in rt_col]),
+            ("cavity_rate", "gamma0", ring.cavity_rate),
+            ("single_pass_rate", "gamma0", ring.single_pass_rate),
+            ("flash_to_plateau", "ratio", ring.flash_ratio)],
+        "roundtrip_comparison": [
+            ("roundtrip", "", np.repeat(rt_col, sel.size)),
+            ("local_time", "ns", np.tile(_ns_column(config, ring.local_time[sel]),
+                                         config.roundtrips)),
+            ("cavity_power", "normalized", overlay(ring.cavity_segments)),
+            ("single_pass_power", "normalized", overlay(ring.single_pass_segments))],
+    }
 
 
-def _run_s1(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
-    pulse = _pulse(config, ws, config.detuning)
+def _run_s1(config: ScenarioConfig) -> dict:
+    pulse = _pulse(config, config.detuning)
     p_uni, mean, stderr = disorder_averaged_forward(
         pulse, _ensemble(config).n_atoms, config.beta, config.n_configs, config.seed,
         n_workers=config.threads)
-    return {"uni_vs_bi": _power_csv(
-        out / "uni_vs_bi.csv", config, ws, pulse.t, pulse.switch_off + 15.0,
+    return {"uni_vs_bi": _power_columns(
+        config, pulse.t, pulse.switch_off + _TAIL,
         [("unidirectional_power", p_uni), ("bidirectional_mean_power", mean),
          ("bidirectional_stderr", stderr)])}
 
 
-def _run_custom(config: ScenarioConfig, ws: _Workspace, out: Path) -> dict:
-    pulse = _pulse(config, ws, config.detuning)
-    transmitted = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(),
-                                                                 _ensemble(config)))
-    return {"transmitted_power": _power_csv(
-        out / "transmitted_power.csv", config, ws, pulse.t, pulse.switch_off + 15.0,
-        [("input_power", pulse.power()), ("transmitted_power", transmitted.power())])}
+def _run_custom(config: ScenarioConfig) -> dict:
+    return _transmitted(config, _pulse(config, config.detuning), _ensemble(config))
 
 
 _RUNNERS = {
@@ -478,12 +455,15 @@ _RUNNERS = {
 def run_scenario(config: ScenarioConfig) -> dict:
     """Execute a scenario, returning {name: path} including the manifest.
 
+    Each runner returns its tables as {file stem: columns}; this is the one
+    place that writes them, as out_dir/<stem>.csv, next to the manifest.
     Reruns with an identical config produce bitwise-identical files; the
     manifest records every parameter needed to reproduce them.
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = _RUNNERS[config.scenario](config, _Workspace.build(config), out)
+    tables = _RUNNERS[config.scenario](config)
+    files = {stem: write_csv(out / f"{stem}.csv", config.scenario, columns)
+             for stem, columns in tables.items()}
     manifest = {
         "code_version": __version__,
         "config": config_to_dict(config),

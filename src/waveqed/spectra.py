@@ -80,12 +80,6 @@ class TransferSpectrum:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "amplitude", amplitude)
 
-    @property
-    def spacing(self) -> float:
-        if self.delta.size < 2:
-            return 0.0
-        return float(self.delta[1] - self.delta[0])
-
     def power(self):
         return np.abs(self.amplitude) ** 2
 
@@ -226,7 +220,7 @@ class CavitySpec:
             raise ValueError(f"tau_rt must be positive, got {self.tau_rt}")
 
 
-def transfer_cavity(t_medium: TransferSpectrum, cavity: CavitySpec, eps=RECURSION_EPS) -> TransferSpectrum:
+def transfer_cavity(t_medium: TransferSpectrum, cavity: CavitySpec) -> TransferSpectrum:
     """Ring-resonator dressing of a medium response.
 
     amplitude(delta) = (t_rt t_N e^{i Phi} - t_c) / (t_rt t_c t_N e^{i Phi} - 1)
@@ -235,18 +229,18 @@ def transfer_cavity(t_medium: TransferSpectrum, cavity: CavitySpec, eps=RECURSIO
     The sign of the delta term follows this package's transform convention
     (the one that makes the atomic Lorentzian causal), so the time-domain
     response carries echoes delayed by multiples of tau_rt.  Denominator
-    moduli below eps raise a diagnostic warning (unphysical gain
+    moduli below RECURSION_EPS raise a diagnostic warning (unphysical gain
     configuration); passive parameters keep |amplitude| at or below one.
     """
     loop = cavity.t_rt * t_medium.amplitude * np.exp(
         1j * (cavity.phi0 - t_medium.delta * cavity.tau_rt)
     )
     den = cavity.t_c * loop - 1.0
-    small = np.abs(den) < eps
+    small = np.abs(den) < RECURSION_EPS
     if np.any(small):
         warnings.warn(
             f"{int(np.count_nonzero(small))} grid point(s) with ring denominator "
-            f"below {eps:g}; parameters are at or past the gain threshold",
+            f"below {RECURSION_EPS:g}; parameters are at or past the gain threshold",
             DegenerateDenominatorWarning,
             stacklevel=2,
         )

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from waveqed import (
-    CavitySpec,
     EnsembleSpec,
     Units,
     atom_dynamics,
@@ -31,7 +30,6 @@ from waveqed import (
     od_to_atom_number,
     propagate_pulse,
     resonant_od,
-    ring_multipass,
     run_scenario,
     selfcheck,
     synthesize_pulse,
@@ -39,8 +37,6 @@ from waveqed import (
     transfer_bidirectional,
     transfer_unidirectional,
 )
-from waveqed.fitting import SETTLE_DELAY
-
 from oracles import transfer_matrix_solution
 
 UNITS = Units()
@@ -52,13 +48,16 @@ def report(criterion, detail):
     print(f"ACCEPTANCE {criterion} PASS: {detail}")
 
 
-def run_columns(out_dir, raw, csv_name):
-    """Run a scenario as the CLI does and read one CSV back by column name.
+def read_columns(path):
+    """A scenario CSV by column name; repr floats read back exactly."""
+    return np.genfromtxt(path, delimiter=",", skip_header=1, names=True)
 
-    The CSVs hold repr floats, so the columns are exactly the computed values.
-    """
-    run_scenario(config_from_dict({**raw, "output": {"directory": str(out_dir)}}))
-    return np.genfromtxt(out_dir / csv_name, delimiter=",", skip_header=1, names=True)
+
+def run_columns(out_dir, raw, csv_name):
+    """Run a scenario as the CLI does, into out_dir, and read one CSV back."""
+    output = {**raw.get("output", {}), "directory": str(out_dir)}
+    run_scenario(config_from_dict({**raw, "output": output}))
+    return read_columns(out_dir / csv_name)
 
 
 # --------------------------------------------------------------------------
@@ -216,16 +215,15 @@ def test_c6_directional_asymmetry(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def cavity_run():
-    pulse = synthesize_pulse(time_grid(2048.0, 2 ** 20), 120 * NS, 0.85 * NS,
-                             carrier_detuning=8.7, photon_number=1.0)
-    ring = ring_multipass(
-        pulse, EnsembleSpec.from_od(14.0, BETA),
-        CavitySpec(t_rt=0.85, t_c=0.9, tau_rt=UNITS.time_from_si(220e-9), phi0=0.0),
-        roundtrips=7, start=1.0, settle_delay=SETTLE_DELAY)
-    mismatch = [float(np.max(np.abs(cavity / cavity.max() - single / single.max())))
-                for cavity, single in zip(ring.cavity_segments, ring.single_pass_segments)]
-    return np.array(mismatch), ring.cavity_rate, ring.flash_ratio
+def cavity_run(tmp_path_factory):
+    """fig5 at its defaults; at time stride 1 the overlays are the full roundtrip segments."""
+    out = tmp_path_factory.mktemp("fig5")
+    overlay = run_columns(out, {"scenario": "fig5", "output": {"time_stride": 1}},
+                          "roundtrip_comparison.csv")
+    rates = read_columns(out / "roundtrip_rates.csv")
+    diff = np.abs(overlay["cavity_power_normalized"] - overlay["single_pass_power_normalized"])
+    mismatch = [float(np.max(diff[overlay["roundtrip"] == m])) for m in rates["roundtrip"]]
+    return np.array(mismatch), rates["cavity_rate_gamma0"], rates["flash_to_plateau_ratio"]
 
 
 def test_c7_roundtrip_equivalence(cavity_run):

@@ -81,6 +81,16 @@ class TestAveraging:
         assert np.allclose(mean, [2.5, -1.0])
         assert np.allclose(stderr, 0.0, atol=1e-12)
 
+    def test_stderr_of_offset_observable_matches_two_pass(self):
+        # stderr about 1e-9 of the mean: a one-pass sum of squares cancels to
+        # noise (it gave 0 and 0.139 against 0.050)
+        model = DisorderModel(n_atoms=3, seed=5)
+        observable = lambda ens: 1e8 + np.cos(ens.phase)
+        _, stderr = average_observable(model, 200, observable)
+        values = np.array([observable(sample_configuration(model, i)) for i in range(200)])
+        expected = values.std(axis=0, ddof=1) / math.sqrt(200)
+        assert np.allclose(stderr, expected, rtol=1e-6, atol=0.0)
+
     def test_shape_mismatch_rejected(self):
         model = DisorderModel(n_atoms=3, seed=4)
         calls = []

@@ -143,14 +143,31 @@ class TestConfigParsing:
             assert config.scenario == scenario
 
 
+# each scenario at a tiny size: its overrides of tiny_custom and the file stems it writes
+TINY_RUNS = {
+    "fig2": ({}, {"transmitted_power", "atom_traces", "atom_colormap"}),
+    "fig3": ({"od": None, "od_values": [2.0, 5.0]}, {"decay_rate_vs_od"}),
+    "fig4": ({"detunings": [0.5], "disorder": {"n_configs": 2}}, {"decay_rate_vs_detuning"}),
+    "fig5": ({"cavity": {"roundtrips": 2}},
+             {"cavity_trace", "roundtrip_rates", "roundtrip_comparison"}),
+    "s1": ({"disorder": {"n_configs": 4}}, {"uni_vs_bi"}),
+    "custom": ({}, {"transmitted_power"}),
+}
+
+
 class TestRunScenario:
-    def test_custom_outputs_and_manifest(self, tmp_path):
-        config = config_from_dict(tiny_custom(tmp_path / "run"))
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_outputs_and_manifest(self, tmp_path, scenario):
+        extra, stems = TINY_RUNS[scenario]
+        # the files returned, the CSVs on disk and the manifest list agree
+        config = config_from_dict(tiny_custom(tmp_path / "run", scenario=scenario, **extra))
         files = run_scenario(config)
-        assert files["transmitted_power"].exists()
+        assert set(files) == stems | {"manifest"}
+        csvs = {f"{stem}.csv" for stem in stems}
+        assert {path.name for name, path in files.items() if name != "manifest"} == csvs
+        assert {p.name for p in (tmp_path / "run").glob("*.csv")} == csvs
         manifest = json.loads(files["manifest"].read_text())
-        assert manifest["config"]["od"] == 1.5
-        assert manifest["files"] == ["transmitted_power.csv"]
+        assert manifest["files"] == sorted(csvs)
         assert "code_version" in manifest
         # the manifest alone reproduces the run
         assert config_from_dict(manifest["config"]) == config
