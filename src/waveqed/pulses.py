@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .physics import EnsembleSpec
-from .spectra import TransferSpectrum, _cascade_amplitudes, _is_power_of_two, _validate_grid
+from .spectra import (
+    TransferSpectrum,
+    _cascade_amplitudes,
+    _is_power_of_two,
+    _validate_grid,
+    transfer_unidirectional,
+)
 
 # Raised-cosine (cos^2 amplitude) edge geometry: fractions of the full ramp
 # at which the instantaneous power crosses 10%, 50% and 90%.
@@ -29,7 +35,8 @@ PADDING_FACTOR = 4.0          # time window must cover this many pulse durations
 PADDING_TAIL = 20.0           # plus this much decay tail, in 1/Gamma0
 ALIAS_BAND = 0.01             # outermost fraction of the frequency window
 ALIAS_TOL = 1e-6              # spectral energy fraction allowed in that band
-ENERGY_FLOOR = 1e-12          # stored-energy fraction below which rates are masked
+ENERGY_FLOOR = 1e-6           # stored-energy fraction below which rates are masked;
+                              # above the ~3e-8 error of the flux-balance solve
 
 
 def time_grid(span, n):
@@ -199,10 +206,13 @@ class AtomTrajectorySet:
     """Per-atom excited-state dynamics plus derived ensemble traces.
 
     energy is the total stored excitation E(t) = sum_n p_n(t) over all
-    atoms of the ensemble; gamma_coll = -dE/dt / E is NaN wherever E falls
-    below ENERGY_FLOOR of its maximum (mask in ``valid``).  traces holds
-    p_n(t) for the atoms listed in atom_indices, sampled on trace_t (a
-    possibly strided copy of t).
+    atoms of the ensemble, and gamma_coll = -dE/dt / E the collective rate.
+    For uniform beta both come exactly from the cascade's flux balance; for
+    non-uniform beta E is the per-atom sum and the rate a finite difference
+    (see atom_dynamics).  gamma_coll is NaN wherever E falls below
+    ENERGY_FLOOR of its maximum (mask in ``valid``).  traces holds p_n(t)
+    for the atoms listed in atom_indices, sampled on trace_t (a possibly
+    strided copy of t).
     """
 
     t: np.ndarray
@@ -214,21 +224,42 @@ class AtomTrajectorySet:
     atom_indices: np.ndarray
 
 
+def _strided_power(spectrum, stride):
+    """|ifft(spectrum)|^2 at every stride-th sample.
+
+    When the stride divides the grid, folding the spectrum onto G/stride
+    bins first gives the same samples from a stride-times shorter FFT:
+    ifft(X)[::s] = ifft(X.reshape(s, -1).sum(axis=0)) / s.
+    """
+    if spectrum.size % stride:
+        return np.abs(np.fft.ifft(spectrum)[::stride]) ** 2
+    folded = spectrum.reshape(stride, -1).sum(axis=0)
+    return np.abs(np.fft.ifft(folded)) ** 2 / stride ** 2
+
+
 def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
                   trace_atoms=None, trace_stride=1) -> AtomTrajectorySet:
     """Excited-state probability of each atom driven by a pulse.
 
     p_n(t) = | F^{-1}[ u(delta) * phi_n(delta) ] |^2 with the cascade
     amplitudes phi_n of spectra.excitation_amplitudes, normalized so p_n is
-    a probability for the pulse photon number (linear regime).  The
-    collective rate trace uses a centered finite difference of E(t).
+    a probability for the pulse photon number (linear regime).
+
+    For uniform beta (any per-atom shifts) the stored energy obeys the
+    cascade's input-output balance dE/dt = P_in - P_out - (1 - beta) E
+    (Gardiner 1993; Carmichael 1993), so E is one FFT solve of it and
+    gamma_coll = (1 - beta) - (P_in - P_out) / E is exact; no per-atom
+    transform runs unless a trace is asked for.  For non-uniform beta E is
+    the sum of all N per-atom traces and gamma_coll a centered finite
+    difference of it.
 
     trace_atoms selects which atoms to store (0-based; None = all, () =
     none); trace_stride subsamples the stored traces in time.
     """
     spectrum = np.fft.fft(pulse.envelope)
     _check_alias(pulse, spectrum)
-    delta = pulse.carrier_detuning + 2.0 * math.pi * np.fft.fftfreq(pulse.t.size, d=pulse.dt)
+    omega = 2.0 * math.pi * np.fft.fftfreq(pulse.t.size, d=pulse.dt)
+    delta = pulse.carrier_detuning + omega
     n_atoms = ensemble.n_atoms
     if trace_atoms is None:
         selected = np.arange(n_atoms)
@@ -243,14 +274,25 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     traces = np.empty((selected.size, trace_t.size))
     keep = {int(a): row for row, a in enumerate(selected)}
 
-    energy = np.zeros(pulse.t.size)
-    for n, phi in enumerate(_cascade_amplitudes(delta, ensemble)):
-        p_n = np.abs(np.fft.ifft(spectrum * phi)) ** 2
-        energy += p_n
-        if n in keep:
-            traces[keep[n]] = p_n[::stride]
-
-    de_dt = np.gradient(energy, pulse.dt)
+    if np.ptp(ensemble.beta) == 0.0:
+        beta = float(ensemble.beta[0])
+        response = np.fft.ifftshift(transfer_unidirectional(pulse.detunings(), ensemble).amplitude)
+        flux = pulse.power() - np.abs(np.fft.ifft(spectrum * response)) ** 2
+        energy = np.fft.ifft(np.fft.fft(flux) / (1j * omega + 1.0 - beta)).real
+        de_dt = flux - (1.0 - beta) * energy
+        # range first, so the generator stops after the last requested atom
+        for n, phi in zip(range(selected[-1] + 1 if selected.size else 0),
+                          _cascade_amplitudes(delta, ensemble)):
+            if n in keep:
+                traces[keep[n]] = _strided_power(spectrum * phi, stride)
+    else:
+        energy = np.zeros(pulse.t.size)
+        for n, phi in enumerate(_cascade_amplitudes(delta, ensemble)):
+            p_n = np.abs(np.fft.ifft(spectrum * phi)) ** 2
+            energy += p_n
+            if n in keep:
+                traces[keep[n]] = p_n[::stride]
+        de_dt = np.gradient(energy, pulse.dt)
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))
     gamma = np.full(pulse.t.size, np.nan)
     gamma[valid] = -de_dt[valid] / energy[valid]

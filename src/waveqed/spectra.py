@@ -108,11 +108,16 @@ def _cascade_amplitudes(delta, ensemble: EnsembleSpec):
 
     phi_n = i (prod_{j<n} t_j) (t_n - 1) / sqrt(beta_n).  A caller that
     consumes them one at a time never holds all N grid-sized rows at once.
+    t_n is evaluated once per run of atoms with the same (beta, shift).
     """
     prefix = np.ones(delta.size, dtype=complex)
+    atom = None
     for b, s in zip(ensemble.beta, ensemble.shift):
-        t_n = single_atom_coefficients(delta - s, b)[0]
-        yield 1j * prefix * (t_n - 1.0) / math.sqrt(b)
+        if (b, s) != atom:
+            atom = (b, s)
+            t_n = single_atom_coefficients(delta - s, b)[0]
+            t_minus_1 = t_n - 1.0
+        yield 1j * prefix * t_minus_1 / math.sqrt(b)
         prefix *= t_n
 
 

@@ -2,11 +2,14 @@
 
 Each oracle solves the same physics as the package through a different
 route: a 2x2 transfer-matrix product, a dense linear solve of the full
-scattering system, and a time-stepped integration of the cascaded driven
-dipoles.  None of them share code with the package internals.
+scattering system, a time-stepped integration of the cascaded driven
+dipoles, and the closed-form impulse response of a uniform cascade.  None
+of them share code with the package internals.
 """
 
 import numpy as np
+from scipy.signal import fftconvolve
+from scipy.special import eval_genlaguerre
 
 
 def single_scatterer(delta, beta):
@@ -133,3 +136,21 @@ def ode_cascade_populations(pulse, beta, n_atoms):
         k4 = rhs(c + dt * k3, u[k + 1])
         c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return out
+
+
+def uniform_cascade_output(pulse, beta, n_atoms):
+    """Transmitted envelope of N identical atoms by time-domain convolution.
+
+    t^N with t = 1 - beta/(1/2 + i delta) has the impulse response
+    h_N(t) = delta(t) - beta exp(-(1/2 + i Delta_c) t) L^(1)_{N-1}(beta t) Theta(t)
+    (binomial expansion; (beta/(1/2 + i delta))^k <-> beta^k t^(k-1)
+    e^(-t/2) / (k-1)!).  The smooth part is convolved with the envelope by
+    the trapezoid rule, so the result converges at second order in dt.
+    """
+    tau = pulse.t - pulse.t[0]
+    kernel = (-beta * np.exp(-(0.5 + 1j * pulse.carrier_detuning) * tau)
+              * eval_genlaguerre(int(n_atoms) - 1, 1.0, beta * tau))
+    u = pulse.envelope
+    # trapezoid: halve the weights of the two end points tau = 0 and tau = t
+    conv = fftconvolve(kernel, u)[:u.size] - 0.5 * (kernel[0] * u + kernel * u[0])
+    return u + pulse.dt * conv

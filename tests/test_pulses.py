@@ -10,14 +10,18 @@ from waveqed import (
     Units,
     atom_dynamics,
     collective_rate_at_switchoff,
+    config_from_dict,
     fit_pulse_decay,
+    od_to_atom_number,
     propagate_pulse,
     synthesize_pulse,
     time_grid,
     transfer_unidirectional,
 )
+from waveqed.pulses import ENERGY_FLOOR
+from waveqed.scenarios import _pulse as scenario_pulse
 
-from oracles import ode_cascade_populations
+from oracles import ode_cascade_populations, uniform_cascade_output
 
 UNITS = Units()
 NS = UNITS.time_from_si(1e-9)
@@ -196,7 +200,52 @@ class TestAtomDynamics:
         assert traj.traces.shape == (2, pulse.t.size // 4)
         assert np.array_equal(traj.atom_indices, [0, 5])
         full = atom_dynamics(pulse, EnsembleSpec.uniform(12, 0.02))
-        assert np.array_equal(traj.traces[1], full.traces[5][::4])
+        # strided traces come from a folded spectrum, equal up to rounding
+        assert np.max(np.abs(traj.traces[1] - full.traces[5][::4])) <= 1e-15 * full.traces[5].max()
+
+    @pytest.mark.parametrize("stride", [2, 4, 8, 3])
+    def test_strided_traces_match_full_resolution(self, stride):
+        # 2, 4 and 8 divide the 2^12-point grid and fold the spectrum; 3 does not
+        pulse = small_pulse(carrier=1.0)
+        ens = EnsembleSpec.uniform(20, 0.03)
+        full = atom_dynamics(pulse, ens)
+        strided = atom_dynamics(pulse, ens, trace_stride=stride)
+        assert np.array_equal(strided.trace_t, pulse.t[::stride])
+        assert strided.traces.shape == full.traces[:, ::stride].shape
+        deviation = np.max(np.abs(strided.traces - full.traces[:, ::stride]))
+        assert deviation <= 1e-15 * full.traces.max()
+        assert np.array_equal(strided.energy, full.energy)
+
+    def test_uniform_beta_energy_needs_no_per_atom_transform(self, monkeypatch):
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        pulse = small_pulse(carrier=1.0)
+        counts = []
+        for n_atoms, trace_atoms in ((10, ()), (300, ()), (300, (7,))):
+            calls.clear()
+            atom_dynamics(pulse, EnsembleSpec.uniform(n_atoms, 0.02), trace_atoms=trace_atoms)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert counts[2] == counts[1] + 1
+
+    @pytest.mark.parametrize("beta", [np.full(20, 0.03), np.linspace(0.01, 0.05, 20)],
+                             ids=["flux_balance", "per_atom_sum"])
+    def test_rate_masked_before_onset_and_in_far_tail(self, beta):
+        pulse = small_pulse(carrier=1.0)
+        ens = EnsembleSpec(beta=beta, phase=np.zeros(20), shift=np.zeros(20))
+        traj = atom_dynamics(pulse, ens, trace_atoms=())
+        onset = pulse.t[np.flatnonzero(pulse.envelope)[0]]
+        outside = (traj.t < onset) | (traj.t > pulse.switch_off + 30.0)
+        assert np.count_nonzero(outside) > 1000
+        assert not np.any(traj.valid[outside])
+        assert np.all(np.isnan(traj.gamma_coll[outside]))
+        assert np.all(np.isfinite(traj.gamma_coll[traj.valid]))
 
     def test_phase_reversal_along_array(self):
         # atoms deep in the array flip their oscillation phase during the
@@ -230,8 +279,39 @@ class TestCollectiveRate:
         traj = atom_dynamics(pulse, EnsembleSpec.uniform(1, 0.0055))
         assert collective_rate_at_switchoff(traj, pulse.switch_off) == pytest.approx(1.0, rel=1e-4)
 
+    def test_reads_every_fig3_od(self):
+        # the energy floor sits far below the stored energy at switch-off
+        config = config_from_dict({"scenario": "fig3"})
+        pulse = scenario_pulse(config, config.detuning)
+        for od in config.od_values:
+            traj = atom_dynamics(pulse, EnsembleSpec.from_od(od, config.beta), trace_atoms=())
+            gamma = collective_rate_at_switchoff(traj, pulse.switch_off)
+            idx = np.searchsorted(traj.t, pulse.switch_off + 0.02)
+            assert np.isfinite(gamma) and gamma > 0
+            assert traj.energy[idx] > 1e3 * ENERGY_FLOOR * traj.energy.max()
+
     def test_error_outside_window(self):
         pulse = small_pulse()
         traj = atom_dynamics(pulse, EnsembleSpec.uniform(1, 0.0055))
         with pytest.raises(ValueError):
             collective_rate_at_switchoff(traj, pulse.t[-1] + 1.0)
+
+
+def test_propagation_matches_analytic_cascade_at_fig3_od34():
+    # N = 1537 identical atoms at carrier 3.8: the Laguerre impulse response
+    # convolved in the time domain converges at second order in dt to the
+    # FFT propagation through t^N; it shares no code with the FFT path
+    beta = 0.0055
+    n_atoms = od_to_atom_number(34.0, beta)
+    errors = []
+    for k in range(3):  # dt = pi/1024, pi/2048, pi/4096 on the same window
+        pulse = synthesize_pulse(time_grid(1024.0 * 2 ** k, 2 ** (15 + k)), 150 * NS,
+                                 0.85 * NS, carrier_detuning=3.8, photon_number=2.0)
+        ens = EnsembleSpec.uniform(n_atoms, beta)
+        power = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(), ens)).power()
+        reference = np.abs(uniform_cascade_output(pulse, beta, n_atoms)) ** 2
+        window = pulse.t <= pulse.switch_off + 15.0
+        errors.append(np.max(np.abs(power - reference)[window]) / power.max())
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((ratios >= 3.8) & (ratios <= 4.2)), ratios
+    assert errors[-1] < 2e-5
