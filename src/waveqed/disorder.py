@@ -23,25 +23,19 @@ import numpy as np
 
 from .physics import BETA_DEFAULT, EnsembleSpec
 
-PHASE_LAWS = ("uniform", "bragg")
 CHUNK_SIZE = 64  # configurations per reduction chunk; fixed for determinism
 
 
 @dataclass(frozen=True)
 class DisorderModel:
-    """Random ensemble family: coupling fluctuations and positional phases.
+    """Random ensemble family: n_atoms at a fixed coupling, random positions.
 
-    phase_law "uniform" draws theta_n i.i.d. on [0, 2pi); "bragg" pins all
-    phases to bragg_phase.  beta_spread is the fractional standard
-    deviation of the per-atom coupling (0 keeps beta fixed); samples are
-    clipped into (0, 0.5].
+    Each configuration draws its phases theta_n i.i.d. on [0, 2pi) and
+    gives every atom the coupling beta_mean.
     """
 
     n_atoms: int
     beta_mean: float = BETA_DEFAULT
-    beta_spread: float = 0.0
-    phase_law: str = "uniform"
-    bragg_phase: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -49,10 +43,6 @@ class DisorderModel:
             raise ValueError(f"n_atoms must be positive, got {self.n_atoms}")
         if not 0.0 < self.beta_mean <= 0.5:
             raise ValueError("beta_mean must lie in (0, 0.5]")
-        if self.beta_spread < 0:
-            raise ValueError("beta_spread must be non-negative")
-        if self.phase_law not in PHASE_LAWS:
-            raise ValueError(f"phase_law must be one of {PHASE_LAWS}, got {self.phase_law!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -63,16 +53,9 @@ def sample_configuration(model: DisorderModel, index: int) -> EnsembleSpec:
     if index < 0:
         raise ValueError(f"configuration index must be non-negative, got {index}")
     rng = np.random.default_rng(np.random.SeedSequence((model.seed, index)))
-    if model.beta_spread > 0:
-        beta = model.beta_mean * (1.0 + model.beta_spread * rng.standard_normal(model.n_atoms))
-        beta = np.clip(beta, 1e-12, 0.5)
-    else:
-        beta = np.full(model.n_atoms, model.beta_mean)
-    if model.phase_law == "uniform":
-        phase = rng.uniform(0.0, 2.0 * math.pi, model.n_atoms)
-    else:
-        phase = np.full(model.n_atoms, model.bragg_phase % (2.0 * math.pi))
-    return EnsembleSpec(beta=beta, phase=phase, shift=np.zeros(model.n_atoms))
+    return EnsembleSpec(beta=np.full(model.n_atoms, model.beta_mean),
+                        phase=rng.uniform(0.0, 2.0 * math.pi, model.n_atoms),
+                        shift=np.zeros(model.n_atoms))
 
 
 def _chunk_sums(model, observable, start, stop, first):

@@ -43,14 +43,6 @@ class Units:
         """Seconds -> time in 1/Gamma0."""
         return t_seconds * self.gamma0_rad_per_s
 
-    def frequency_to_hz(self, rate_natural):
-        """Angular rate or detuning in Gamma0 -> ordinary frequency in Hz."""
-        return rate_natural * self.gamma0_hz
-
-    def frequency_from_hz(self, f_hz):
-        """Ordinary frequency in Hz -> angular rate in Gamma0."""
-        return f_hz / self.gamma0_hz
-
 
 def _as_beta_array(beta, n=None):
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -114,9 +106,9 @@ class EnsembleSpec:
         )
 
     @classmethod
-    def from_od(cls, od, beta=BETA_DEFAULT, phase=0.0, shift=0.0):
+    def from_od(cls, od, beta=BETA_DEFAULT):
         """Uniform ensemble sized to a resonant optical depth."""
-        return cls.uniform(od_to_atom_number(od, beta), beta=beta, phase=phase, shift=shift)
+        return cls.uniform(od_to_atom_number(od, beta), beta=beta)
 
 
 def single_atom_coefficients(delta, beta=BETA_DEFAULT):

@@ -206,13 +206,11 @@ class AtomTrajectorySet:
     """Per-atom excited-state dynamics plus derived ensemble traces.
 
     energy is the total stored excitation E(t) = sum_n p_n(t) over all
-    atoms of the ensemble, and gamma_coll = -dE/dt / E the collective rate.
-    For uniform beta both come exactly from the cascade's flux balance; for
-    non-uniform beta E is the per-atom sum and the rate a finite difference
-    (see atom_dynamics).  gamma_coll is NaN wherever E falls below
-    ENERGY_FLOOR of its maximum (mask in ``valid``).  traces holds p_n(t)
-    for the atoms listed in atom_indices, sampled on trace_t (a possibly
-    strided copy of t).
+    atoms of the ensemble, and gamma_coll = -dE/dt / E the collective rate,
+    exact from the cascade's flux balance (see atom_dynamics).  gamma_coll
+    is NaN wherever E falls below ENERGY_FLOOR of its maximum (mask in
+    ``valid``).  traces holds p_n(t) for the atoms listed in atom_indices,
+    sampled on trace_t (a possibly strided copy of t).
     """
 
     t: np.ndarray
@@ -245,13 +243,13 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     amplitudes phi_n of spectra.excitation_amplitudes, normalized so p_n is
     a probability for the pulse photon number (linear regime).
 
-    For uniform beta (any per-atom shifts) the stored energy obeys the
-    cascade's input-output balance dE/dt = P_in - P_out - (1 - beta) E
-    (Gardiner 1993; Carmichael 1993), so E is one FFT solve of it and
-    gamma_coll = (1 - beta) - (P_in - P_out) / E is exact; no per-atom
-    transform runs unless a trace is asked for.  For non-uniform beta E is
-    the sum of all N per-atom traces and gamma_coll a centered finite
-    difference of it.
+    The stored energy obeys the cascade's input-output balance
+    dE/dt = P_in - P_out - sum_n (1 - beta_n) p_n (Gardiner 1993;
+    Carmichael 1993), the per-atom balances telescoped, so gamma_coll =
+    -dE/dt / E is exact for any beta.  For uniform beta the loss term is
+    (1 - beta) E and E is one FFT solve of the balance, so no per-atom
+    transform runs unless a trace is asked for; otherwise E and the loss
+    are summed over all N per-atom traces.
 
     trace_atoms selects which atoms to store (0-based; None = all, () =
     none); trace_stride subsamples the stored traces in time.
@@ -274,12 +272,12 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     traces = np.empty((selected.size, trace_t.size))
     keep = {int(a): row for row, a in enumerate(selected)}
 
+    response = np.fft.ifftshift(transfer_unidirectional(pulse.detunings(), ensemble).amplitude)
+    flux = pulse.power() - np.abs(np.fft.ifft(spectrum * response)) ** 2
     if np.ptp(ensemble.beta) == 0.0:
         beta = float(ensemble.beta[0])
-        response = np.fft.ifftshift(transfer_unidirectional(pulse.detunings(), ensemble).amplitude)
-        flux = pulse.power() - np.abs(np.fft.ifft(spectrum * response)) ** 2
         energy = np.fft.ifft(np.fft.fft(flux) / (1j * omega + 1.0 - beta)).real
-        de_dt = flux - (1.0 - beta) * energy
+        loss = (1.0 - beta) * energy
         # range first, so the generator stops after the last requested atom
         for n, phi in zip(range(selected[-1] + 1 if selected.size else 0),
                           _cascade_amplitudes(delta, ensemble)):
@@ -287,12 +285,15 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
                 traces[keep[n]] = _strided_power(spectrum * phi, stride)
     else:
         energy = np.zeros(pulse.t.size)
-        for n, phi in enumerate(_cascade_amplitudes(delta, ensemble)):
+        loss = np.zeros(pulse.t.size)
+        for n, (phi, beta_n) in enumerate(zip(_cascade_amplitudes(delta, ensemble),
+                                              ensemble.beta)):
             p_n = np.abs(np.fft.ifft(spectrum * phi)) ** 2
             energy += p_n
+            loss += (1.0 - beta_n) * p_n
             if n in keep:
                 traces[keep[n]] = p_n[::stride]
-        de_dt = np.gradient(energy, pulse.dt)
+    de_dt = flux - loss
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))
     gamma = np.full(pulse.t.size, np.nan)
     gamma[valid] = -de_dt[valid] / energy[valid]

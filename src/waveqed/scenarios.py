@@ -27,7 +27,7 @@ from .fitting import (
     disorder_averaged_forward,
     ring_multipass,
 )
-from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, resonant_od
+from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, od_to_atom_number, resonant_od
 from .pulses import atom_dynamics, propagate_pulse, synthesize_pulse, time_grid
 from .spectra import CavitySpec, transfer_unidirectional
 
@@ -221,6 +221,12 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     else:
         _require((v["od"] is None) != (v["n_atoms"] is None), "od",
                  "exactly one of od / n_atoms must be set")
+    # an OD below one atom's worth rounds to an empty ensemble
+    ods = [] if v["od"] is None else [("od", v["od"])]
+    ods += [(f"od_values[{i}]", od) for i, od in enumerate(v["od_values"] or ())]
+    for path, od in ods:
+        _require(od_to_atom_number(od, v["beta"]) >= 1, path,
+                 f"sizes zero atoms at beta = {v['beta']}, got {od}")
     if scenario == "fig4":
         _require(v["detunings"] is not None, "detunings", "required for fig4")
     if scenario in ("fig2", "fig5", "s1", "custom"):
@@ -259,13 +265,6 @@ def read_config_json(path) -> dict:
 def parse_config(path) -> ScenarioConfig:
     """Load and strictly validate a JSON config file."""
     return config_from_dict(read_config_json(path))
-
-
-def emit_config(config: ScenarioConfig, path) -> Path:
-    """Write a config back to JSON; parse_config(emit_config(c)) == c."""
-    path = Path(path)
-    _atomic_write(path, json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _atomic_write(path: Path, text: str):

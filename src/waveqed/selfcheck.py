@@ -120,35 +120,33 @@ def check_energy_bound() -> CheckResult:
 
 
 def check_gamma_identity() -> CheckResult:
-    # atom_dynamics solves the cascade's energy balance
-    # dE/dt = P_in - P_out - (1 - beta) E by one FFT for uniform beta; check
-    # E and Gamma_coll against the independent sum of the N per-atom traces
-    # and its finite-difference rate, including per-atom shifts.  With
-    # non-uniform beta E is that sum itself.
+    # atom_dynamics takes Gamma_coll from the cascade's energy balance
+    # dE/dt = P_in - P_out - sum_n (1 - beta_n) p_n, solving it for E by one
+    # FFT when beta is uniform; check E and Gamma_coll against the
+    # independent sum of the N per-atom traces and its centered-difference
+    # rate, with per-atom shifts and with non-uniform beta.
     pulse = _pulse()
     rng = np.random.default_rng(11)
-    uniform = (EnsembleSpec.uniform(40, 0.02), EnsembleSpec.uniform(30, 0.03),
-               EnsembleSpec(beta=np.full(30, 0.03), phase=np.zeros(30),
-                            shift=rng.uniform(-2.0, 2.0, 30)))
+    ensembles = (EnsembleSpec.uniform(40, 0.02), EnsembleSpec.uniform(30, 0.03),
+                 EnsembleSpec(beta=np.full(30, 0.03), phase=np.zeros(30),
+                              shift=rng.uniform(-2.0, 2.0, 30)),
+                 EnsembleSpec(beta=rng.uniform(0.01, 0.05, 25), phase=np.zeros(25),
+                              shift=np.zeros(25)))
     energy_err = gamma_err = 0.0
-    for ens in uniform:
+    for ens in ensembles:
         traj = atom_dynamics(pulse, ens)
         stored = traj.traces.sum(axis=0)
         peak = float(np.max(stored))
         energy_err = max(energy_err, float(np.max(np.abs(traj.energy - stored))) / peak)
-        late = (traj.t > pulse.switch_off + 0.1) & (traj.t < pulse.switch_off + 3.0) & traj.valid
-        gamma = -np.gradient(stored, pulse.dt)[late] / stored[late]
+        late = np.flatnonzero((traj.t > pulse.switch_off + 0.1)
+                              & (traj.t < pulse.switch_off + 3.0) & traj.valid)
+        gamma = -(stored[late + 1] - stored[late - 1]) / (2.0 * pulse.dt) / stored[late]
         gamma_err = max(gamma_err, float(np.max(np.abs(traj.gamma_coll[late] - gamma)
                                                 / np.abs(gamma))))
-    traj = atom_dynamics(pulse, EnsembleSpec(beta=rng.uniform(0.01, 0.05, 25),
-                                             phase=np.zeros(25), shift=np.zeros(25)))
-    stored = traj.traces.sum(axis=0)
-    sum_err = float(np.max(np.abs(traj.energy - stored))) / float(np.max(stored))
-    passed = energy_err < 1e-6 and gamma_err < 1e-3 and sum_err < 1e-12
+    passed = energy_err < 1e-6 and gamma_err < 1e-3
     return CheckResult("gamma_identity", passed,
                        f"flux balance vs sum of traces {energy_err:.1e} of peak, "
-                       f"Gamma_coll max relative deviation {gamma_err:.1e}; "
-                       f"non-uniform beta sum of traces {sum_err:.1e}")
+                       f"Gamma_coll max relative deviation {gamma_err:.1e}")
 
 
 def check_fit_consistency() -> CheckResult:

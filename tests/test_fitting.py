@@ -103,7 +103,7 @@ class TestResidualSpectrum:
     def test_hyperfine_scale_beat_detected(self):
         # 48.1 Gamma0 corresponds to a ~250 MHz beat at the default linewidth
         f0 = 48.1
-        assert UNITS.frequency_to_hz(f0) == pytest.approx(250e6, rel=2e-3)
+        assert f0 * UNITS.gamma0_hz == pytest.approx(250e6, rel=2e-3)
         t = np.arange(0.0, 30 * NS, 1e-3)
         y = np.exp(-t) * (1.0 + 0.05 * np.cos(f0 * t))
         fit = fit_pulse_decay(t, y, 0.0, 30 * NS, settle_delay=0.0)

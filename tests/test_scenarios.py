@@ -11,7 +11,6 @@ from waveqed import (
     collective_decay_vs_od,
     config_from_dict,
     config_to_dict,
-    emit_config,
     od_to_atom_number,
     parse_config,
     resonant_od,
@@ -130,12 +129,10 @@ class TestConfigParsing:
             assert json.dumps(actual, sort_keys=True) == json.dumps(expected[scenario],
                                                                     sort_keys=True)
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         for scenario in ("fig2", "fig3", "fig4", "fig5", "s1", "custom"):
             config = config_from_dict(scenario_defaults(scenario))
-            path = tmp_path / f"{scenario}.json"
-            emit_config(config, path)
-            assert parse_config(path) == config
+            assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
     def test_every_scenario_has_defaults(self):
         for scenario in ("fig2", "fig3", "fig4", "fig5", "s1", "custom"):
@@ -288,6 +285,19 @@ class TestCli:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"]["type"] == "ConfigError"
         assert "betta" in payload["error"]["field"]
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"scenario": "custom", "od": 0.0}, "od"),
+        ({"scenario": "custom", "od": 0.01}, "od"),  # rounds to 0 atoms at beta = 0.55%
+        ({"scenario": "fig3", "od_values": [0.0, 2.0]}, "od_values[0]"),
+    ])
+    def test_od_sizing_zero_atoms_named(self, tmp_path, capsys, raw, field):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["field"] == field
 
     @pytest.mark.parametrize("overrides, flags, field", [
         ({"pulse": 5}, [], "pulse"),

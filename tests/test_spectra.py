@@ -244,6 +244,27 @@ class TestCavity:
         out = transfer_cavity(unity, cav)
         assert np.allclose(np.abs(out.amplitude), 1.0, atol=1e-12)
 
+    def test_lossless_ring_all_pass_for_random_rings(self):
+        # t_rt = 1 around a unit-modulus medium: |amplitude| = 1 for real t_c;
+        # |t_c| <= 0.99 keeps the denominator >= 0.01, so rounding stays < 1e-12
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        g = detuning_grid(8.0, 64)
+        ring = st.tuples(st.floats(-0.99, 0.99), st.floats(0.1, 10.0),
+                         st.floats(0.0, 2 * math.pi),
+                         st.lists(st.floats(0.0, 2 * math.pi), min_size=64, max_size=64))
+
+        def law(params):
+            t_c, tau_rt, phi0, medium_phase = params
+            medium = TransferSpectrum(g, np.exp(1j * np.array(medium_phase)))
+            out = transfer_cavity(medium, CavitySpec(t_rt=1.0, t_c=t_c, tau_rt=tau_rt,
+                                                     phi0=phi0))
+            assert np.max(np.abs(np.abs(out.amplitude) - 1.0)) <= 1e-12
+
+        settings = hypothesis.settings(derandomize=True, max_examples=50, deadline=None,
+                                       database=None)
+        settings(hypothesis.given(ring))(law)()
+
     def test_resonant_dip_value(self):
         # pick tau so that the zero-detuning grid point is exactly resonant
         g = detuning_grid(8.0, 256)
