@@ -8,6 +8,7 @@ The figure pipelines live here too, so scenarios and acceptance tests share them
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -22,7 +23,6 @@ from .spectra import (
     TransferSpectrum,
     _recursion,
     transfer_bidirectional,
-    transfer_cavity,
     transfer_unidirectional,
 )
 
@@ -272,8 +272,10 @@ def disorder_averaged_forward(pulse, n_atoms, beta, n_configs, seed, n_workers=1
 class RingMultipass:
     """Ring run: out-coupled power with and without the medium, per roundtrip.
 
-    The roundtrip lasts shift samples (tau).  Row m-1 of each per-roundtrip
-    array is roundtrip m: the cavity flash rate, the rate of one pass at
+    The roundtrip lasts shift samples (tau).  cavity_power and no_atom_power
+    cover the samples of the window the run reads (at least up to
+    start + (roundtrips + 1) tau).  Row m-1 of each per-roundtrip array is
+    roundtrip m: the cavity flash rate, the rate of one pass at
     OD_tot = m * OD, the flash peak over the no-atom level, and the raw
     cavity and single-pass power over the roundtrip, at local_time.
     """
@@ -290,39 +292,67 @@ class RingMultipass:
     single_pass_segments: np.ndarray
 
 
+def roundtrip_samples(tau_rt, dt) -> int:
+    """The ring roundtrip delay snapped to a whole number (at least one) of grid steps."""
+    return max(1, round(tau_rt / dt))
+
+
 def ring_multipass(pulse, ensemble, cavity, roundtrips, start, settle_delay) -> RingMultipass:
     """Ring multi-pass build-up compared with single passes at OD_tot = m * OD.
 
-    The cavity's tau_rt is snapped to whole grid samples so the overlays are
-    not blurred by sub-sample misalignment.  Roundtrip m opens half a time
-    unit before start + m * tau; the m-pass cascade is read in the window
-    m * tau earlier.
+    The cavity's tau_rt is snapped to whole grid samples, so the ring
+    response (L - t_c)/(t_c L - 1), L = t_rt T e^{i(phi0 - delta tau)},
+    expands exactly into echoes: t_c u plus, for k >= 1, the k-pass field
+    ifft(u T^k) times -(1 - t_c^2) t_c^(k-1) (t_rt e^{i(phi0 - Delta_c tau)})^k,
+    delayed by k tau.  The sum keeps every echo that arrives inside the
+    window the run reads, so the grid need only hold that window, not the
+    ring's slow leak-out; the no-atom reference is the same sum with T = 1.
+    Roundtrip m opens half a time unit before start + m * tau; the m-pass
+    cascade is read in the window m * tau earlier.
     """
     t, delta = pulse.t, pulse.detunings()
-    shift = max(1, round(cavity.tau_rt / pulse.dt))
+    shift = roundtrip_samples(cavity.tau_rt, pulse.dt)
     tau = shift * pulse.dt
-    cavity = replace(cavity, tau_rt=tau)
-    single = transfer_unidirectional(delta, ensemble)
-    power = propagate_pulse(pulse, transfer_cavity(single, cavity)).power()
-    unity = TransferSpectrum(delta, np.ones(delta.size, dtype=complex))
-    reference = propagate_pulse(pulse, transfer_cavity(unity, cavity)).power()
+    # the window ends with the output table or with the last flash fit
+    t_end = max(start + (roundtrips + 1) * tau,
+                pulse.switch_off + roundtrips * tau + settle_delay + FLASH_WINDOW)
+    if t_end > t[-1]:
+        raise ValueError(f"time grid ends at {t[-1]:.4g}, before the ring window ends "
+                         f"at {t_end:.4g}")
+    end = int(np.searchsorted(t, t_end, side="right"))
+    envelope = pulse.envelope[:end]
+    onset = int(np.argmax(envelope != 0))  # echo k is zero before onset + k shift
+    loop = cavity.t_rt * cmath.exp(1j * (cavity.phi0 - pulse.carrier_detuning * tau))
+    field = cavity.t_c * envelope
+    no_atom = field.copy()
 
     lo0 = int(np.searchsorted(t, start - 0.5))
+    single = transfer_unidirectional(delta, ensemble).amplitude
     cumulative = np.ones(delta.size, dtype=complex)
-    rate_cav, rate_sp, flash, seg_cav, seg_sp = [], [], [], [], []
+    rate_sp, seg_sp = [], []
+    for k in range(1, max(roundtrips, (end - 1 - onset) // shift) + 1):
+        cumulative = cumulative * single
+        passes = propagate_pulse(pulse, TransferSpectrum(delta, cumulative))
+        echo = -(1.0 - cavity.t_c ** 2) * cavity.t_c ** (k - 1) * loop ** k
+        field[k * shift:] += echo * passes.envelope[:end - k * shift]
+        no_atom[k * shift:] += echo * envelope[:end - k * shift]
+        if k <= roundtrips:
+            p_sp = passes.power()
+            rate_sp.append(fit_pulse_decay(t, p_sp, pulse.switch_off, FLASH_WINDOW,
+                                           settle_delay, min_points=6).rate)
+            seg_sp.append(p_sp[lo0:lo0 + shift].copy())  # a view would keep all of p_sp alive
+    power = np.abs(field) ** 2
+    reference = np.abs(no_atom) ** 2
+
+    rate_cav, flash, seg_cav = [], [], []
     for m in range(1, roundtrips + 1):
-        cumulative = cumulative * single.amplitude
-        p_sp = propagate_pulse(pulse, TransferSpectrum(delta, cumulative)).power()
         lo = lo0 + m * shift
         t_off = pulse.switch_off + m * tau
-        rate_cav.append(fit_pulse_decay(t, power, t_off, FLASH_WINDOW, settle_delay,
+        rate_cav.append(fit_pulse_decay(t[:end], power, t_off, FLASH_WINDOW, settle_delay,
                                         min_points=6).rate)
-        rate_sp.append(fit_pulse_decay(t, p_sp, pulse.switch_off, FLASH_WINDOW, settle_delay,
-                                       min_points=6).rate)
         post = power[int(np.searchsorted(t, t_off)):lo + shift]
         flash.append(float(post.max() / reference[lo:lo + shift].max()))
         seg_cav.append(power[lo:lo + shift])
-        seg_sp.append(p_sp[lo0:lo0 + shift].copy())  # a view would keep all of p_sp alive
     return RingMultipass(power, reference, shift, tau, t[lo0:lo0 + shift] - start,
                          np.array(rate_cav), np.array(rate_sp), np.array(flash),
                          np.array(seg_cav), np.array(seg_sp))

@@ -94,16 +94,13 @@ class EnsembleSpec:
         return self.beta.size
 
     @classmethod
-    def uniform(cls, n_atoms, beta=BETA_DEFAULT, phase=0.0, shift=0.0):
-        """Ensemble of n_atoms identical emitters."""
+    def uniform(cls, n_atoms, beta=BETA_DEFAULT):
+        """Ensemble of n_atoms identical emitters at zero phase and shift."""
         n_atoms = int(n_atoms)
         if n_atoms < 1:
             raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
-        return cls(
-            beta=np.full(n_atoms, float(beta)),
-            phase=np.full(n_atoms, float(phase)),
-            shift=np.full(n_atoms, float(shift)),
-        )
+        return cls(beta=np.full(n_atoms, float(beta)), phase=np.zeros(n_atoms),
+                   shift=np.zeros(n_atoms))
 
     @classmethod
     def from_od(cls, od, beta=BETA_DEFAULT):

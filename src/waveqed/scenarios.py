@@ -26,6 +26,7 @@ from .fitting import (
     collective_decay_vs_od,
     disorder_averaged_forward,
     ring_multipass,
+    roundtrip_samples,
 )
 from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, od_to_atom_number, resonant_od
 from .pulses import atom_dynamics, propagate_pulse, synthesize_pulse, time_grid
@@ -117,7 +118,7 @@ _SCENARIO_DEFAULTS = {
         "pulse.duration_ns": 120.0,
         "pulse.photon_number": 1.0,
         "grid.span": 2048.0,
-        "grid.points": 2 ** 20,
+        "grid.points": 2 ** 16,
     },
     "s1": {"od": 19.3, "detuning": 17.3, "grid.points": 2 ** 14},
     "custom": {"od": 1.0, "detuning": 0.0},
@@ -235,6 +236,15 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
              "must be shorter than duration_ns")
     points = v["grid_points"]
     _require(points & (points - 1) == 0, "grid.points", "must be a power of two")
+    if scenario == "fig5":
+        # ring_multipass reads the grid up to start + (roundtrips + 1) snapped roundtrips
+        units, dt = Units(v["gamma0_hz"]), math.pi / v["span"]
+        tau = roundtrip_samples(units.time_from_si(v["roundtrip_ns"] * 1e-9), dt) * dt
+        t_end = units.time_from_si(v["start_ns"] * 1e-9) + (v["roundtrips"] + 1) * tau
+        needed = 2 ** math.ceil(math.log2(t_end / dt + 1.0))
+        _require(t_end <= (points - 1) * dt, "grid.points",
+                 f"the ring window ends at {t_end:.4g} (1/Gamma0), past the grid's "
+                 f"{(points - 1) * dt:.4g}; needs >= {needed} points at span {v['span']:g}")
     _require(0.0 < v["cavity_t_rt"] <= 1.0, "cavity.t_rt",
              f"must lie in (0, 1], got {v['cavity_t_rt']}")
     _require(abs(v["cavity_t_c"]) <= 1.0, "cavity.t_c",

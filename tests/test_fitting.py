@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 
 from waveqed import (
+    CavitySpec,
     DisorderModel,
+    EnsembleSpec,
+    TransferSpectrum,
     Units,
     average_observable,
     backward_decay_sweep,
+    config_from_dict,
     fit_initial_decay,
     fit_pulse_decay,
     propagate_pulse,
     residual_spectrum,
+    run_scenario,
     synthesize_pulse,
     time_grid,
     transfer_bidirectional,
+    transfer_cavity,
+    transfer_unidirectional,
 )
 from waveqed import fitting
-from waveqed.fitting import SETTLE_DELAY
+from waveqed.fitting import FLASH_WINDOW, SETTLE_DELAY
 
 UNITS = Units()
 NS = UNITS.time_from_si(1e-9)
@@ -206,3 +213,49 @@ class TestSharedGridSweep:
         groups = fitting._shared_grids(small_pulses((0.5, 600.5)))
         assert [len(members) for _, members in groups] == [1, 1]
         assert all(grid.size == SMALL_GRID["grid_points"] for grid, _ in groups)
+
+
+class TestRingMultipass:
+    def test_fig5_matches_the_closed_form_ring(self, tmp_path):
+        # fig5 at its defaults (echo sum, 2^16 points) against the closed-form
+        # ring response on 2^20 points, whose window outlasts the ring's leak-out
+        config = config_from_dict({"scenario": "fig5", "output": {"directory": str(tmp_path)}})
+        files = run_scenario(config)
+        read = lambda stem: np.genfromtxt(files[stem], delimiter=",", skip_header=1,
+                                          names=True)
+        trace, rates = read("cavity_trace"), read("roundtrip_rates")
+
+        units = Units(config.gamma0_hz)
+        ns = lambda x: units.time_from_si(x * 1e-9)
+        pulse = synthesize_pulse(time_grid(config.span, 2 ** 20), ns(config.duration_ns),
+                                 ns(config.rise_fall_ns), carrier_detuning=config.detuning,
+                                 photon_number=config.photon_number, start=ns(config.start_ns))
+        shift = round(ns(config.roundtrip_ns) / pulse.dt)
+        tau = shift * pulse.dt
+        cavity = CavitySpec(t_rt=config.cavity_t_rt, t_c=config.cavity_t_c, tau_rt=tau,
+                            phi0=config.cavity_phi0)
+        delta = pulse.detunings()
+        media = (transfer_unidirectional(delta, EnsembleSpec.from_od(config.od, config.beta)),
+                 TransferSpectrum(delta, np.ones(delta.size)))
+        power, no_atom = (propagate_pulse(pulse, transfer_cavity(medium, cavity)).power()
+                          for medium in media)
+
+        rows = np.arange(trace.size) * config.time_stride
+        assert np.array_equal(trace["time_ns"], units.time_to_si(pulse.t[rows]) * 1e9)
+        per_ns = 1e-9 / units.time_to_si(1.0)
+        for column, closed in (("outcoupled_power_photons_per_ns", power),
+                               ("no_atom_power_photons_per_ns", no_atom)):
+            expected = closed[rows] * per_ns
+            assert np.max(np.abs(trace[column] - expected)) <= 1e-9 * np.max(expected)
+
+        start = ns(config.start_ns)
+        lo0 = int(np.searchsorted(pulse.t, start - 0.5))
+        for m, rate, flash in zip(rates["roundtrip"].astype(int), rates["cavity_rate_gamma0"],
+                                  rates["flash_to_plateau_ratio"]):
+            t_off = pulse.switch_off + m * tau
+            fit = fit_pulse_decay(pulse.t, power, t_off, FLASH_WINDOW, ns(config.settle_ns),
+                                  min_points=6)
+            assert rate == pytest.approx(fit.rate, rel=1e-8)
+            lo = lo0 + m * shift
+            post = power[int(np.searchsorted(pulse.t, t_off)):lo + shift]
+            assert flash == pytest.approx(post.max() / no_atom[lo:lo + shift].max(), rel=1e-8)

@@ -107,11 +107,11 @@ class TestAtomNumberCalibration:
 
 class TestEnsembleSpec:
     def test_uniform_constructor(self):
-        ens = EnsembleSpec.uniform(5, beta=0.01, phase=0.3)
+        ens = EnsembleSpec.uniform(5, beta=0.01)
         assert ens.n_atoms == 5
         assert np.all(ens.beta == 0.01)
-        assert np.all(ens.phase == 0.3)
-        assert np.all(ens.shift == 0.0)
+        assert np.array_equal(ens.phase, np.zeros(5))
+        assert np.array_equal(ens.shift, np.zeros(5))
 
     def test_from_od(self):
         ens = EnsembleSpec.from_od(19.3)

@@ -119,6 +119,18 @@ class TestConfigParsing:
             config_from_dict(raw)
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize("raw, needed", [
+        ({"scenario": "fig5", "grid": {"points": 2 ** 15}}, 2 ** 16),
+        ({"scenario": "fig5", "cavity": {"roundtrips": 13}}, 2 ** 17),
+        ({"scenario": "fig5", "pulse": {"start_ns": 1400.0}}, 2 ** 17),
+    ])
+    def test_fig5_grid_must_hold_the_ring_window(self, raw, needed):
+        # fig5 reads start + (roundtrips + 1) roundtrips of the grid; a shorter
+        # grid is named, not cropped or wrapped around
+        with pytest.raises(ConfigError, match=f"needs >= {needed} points") as excinfo:
+            config_from_dict(raw)
+        assert excinfo.value.field == "grid.points"
+
     def test_default_configs_pinned(self):
         # recorded from the built-in defaults: a renamed key, a changed
         # default or an int turned float changes the manifest and shows here
@@ -168,6 +180,15 @@ class TestRunScenario:
         assert "code_version" in manifest
         # the manifest alone reproduces the run
         assert config_from_dict(manifest["config"]) == config
+
+    def test_fig5_runs_the_longest_ring_window_its_grid_holds(self, tmp_path):
+        # 12 roundtrips end at 94.5 (1/Gamma0), inside the default 2^16 grid's
+        # 100.5; 13 are rejected (test_fig5_grid_must_hold_the_ring_window)
+        files = run_scenario(config_from_dict({"scenario": "fig5", "cavity": {"roundtrips": 12},
+                                               "output": {"directory": str(tmp_path)}}))
+        rates = np.genfromtxt(files["roundtrip_rates"], delimiter=",", skip_header=2)
+        assert rates.shape == (12, 5)
+        assert np.all(np.isfinite(rates) & (rates > 0))
 
     def test_rerun_bitwise_identical(self, tmp_path):
         config_a = config_from_dict(tiny_custom(tmp_path / "a"))

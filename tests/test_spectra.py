@@ -16,6 +16,7 @@ from waveqed import (
     transfer_cavity,
     transfer_unidirectional,
 )
+from waveqed.spectra import RECURSION_EPS, _recursion
 
 from oracles import linear_system_solution, transfer_matrix_solution
 
@@ -81,7 +82,7 @@ class TestUnidirectional:
     def test_phase_independent(self):
         g = detuning_grid(16.0, 64)
         rng = np.random.default_rng(3)
-        a = transfer_unidirectional(g, EnsembleSpec.uniform(20, 0.01, phase=0.0))
+        a = transfer_unidirectional(g, EnsembleSpec.uniform(20, 0.01))
         b = transfer_unidirectional(
             g, EnsembleSpec(beta=np.full(20, 0.01), phase=rng.uniform(0, 6, 20), shift=np.zeros(20)))
         assert np.array_equal(a.amplitude, b.amplitude)
@@ -178,7 +179,7 @@ class TestBidirectional:
 
     def test_bragg_reflection_enhanced(self):
         n = 50
-        ens = EnsembleSpec.uniform(n, 0.0055, phase=0.0)
+        ens = EnsembleSpec.uniform(n, 0.0055)
         g = detuning_grid(2.0, 64)
         t_spec, r_spec = transfer_bidirectional(g, ens)
         t_ref, r_ref = transfer_matrix_solution(g, ens.beta, ens.phase)
@@ -202,7 +203,7 @@ class TestBidirectional:
         # are 1/2 + i delta (far atom) and i delta (1 + i delta) / (1/2 + i delta)
         # (near atom), which vanishes at delta = 0
         g = detuning_grid(4.0, 64)
-        ens = EnsembleSpec.uniform(2, 0.5, phase=0.0)
+        ens = EnsembleSpec.uniform(2, 0.5)
         base = 0.5 + 1j * g
         moduli = np.concatenate([np.abs(base), np.abs(1j * g * (1.0 + 1j * g) / base)])
         eps = 0.3
@@ -318,3 +319,25 @@ class TestRandomChainLaws:
             assert np.max(t_spec.power() + r_spec.power()) <= 1.0 + 1e-12
 
         for_random_chains(law)
+
+    def test_reflection_certificate(self):
+        # each atom with beta <= 1/2 is passive, so the far-end reflection
+        # the recursion carries stays in the unit disc at every step, with
+        # any phases and resonance shifts; the screen in _recursion relies on it
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        chain = st.integers(1, 30).flatmap(lambda n: st.tuples(*(
+            st.lists(values, min_size=n, max_size=n)
+            for values in (st.floats(0.001, 0.5), st.floats(0.0, 2 * math.pi),
+                           st.floats(-20.0, 20.0)))))
+
+        def law(params):
+            beta, phase, shift = map(np.array, params)
+            _, t_prod, s = _recursion(self.GRID, EnsembleSpec(beta, phase, shift),
+                                      RECURSION_EPS)
+            assert np.max(np.abs(s)) <= 1.0 + 1e-12
+            assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
+
+        settings = hypothesis.settings(derandomize=True, max_examples=50, deadline=None,
+                                       database=None)
+        settings(hypothesis.given(chain))(law)()
