@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -202,6 +202,10 @@ def _directional_powers(pulses):
     """
     groups = _shared_grids(pulses)
     n = pulses[0].t.size
+    # each pulse's aliasing guard, spectrum and detunings run once, here, so
+    # the arrays it keeps sit below the configurations' temporaries on the heap
+    for pulse in pulses:
+        _ = pulse.spectrum, pulse.detunings()
 
     def observable(ens):
         out = np.empty((len(pulses), 2, n))
@@ -233,7 +237,7 @@ def backward_decay_sweep(pulse, n_atoms, detunings, beta, n_configs, seed, forwa
     detunings covers |delta|.
     """
     model = DisorderModel(n_atoms=n_atoms, beta_mean=beta, seed=seed)
-    pulses = [replace(pulse, carrier_detuning=float(carrier)) for carrier in detunings]
+    pulses = [pulse.at_carrier(carrier) for carrier in detunings]
     mean, _ = average_observable(model, n_configs, _directional_powers(pulses),
                                  n_workers=n_workers)
     results = []

@@ -10,7 +10,8 @@ its inverse, which makes the Lorentzian 1/(1/2 + i delta) a causal decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,11 +86,39 @@ class PulseWaveform:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
+    @property
+    def omega(self):
+        """Angular baseband frequency of each FFT bin, in FFT order."""
+        return 2.0 * math.pi * np.fft.fftfreq(self.t.size, d=self.dt)
+
+    @cached_property
+    def spectrum(self):
+        """FFT of the envelope, passed through the aliasing guard (read-only).
+
+        Computed once per pulse, like the detunings: every propagation and
+        atom_dynamics call on the pulse shares them.
+        """
+        spectrum = np.fft.fft(self.envelope)
+        _check_alias(self, spectrum)
+        return _read_only(spectrum)
+
+    @cached_property
+    def _detunings(self):
+        return _read_only(self.carrier_detuning + np.fft.fftshift(self.omega))
+
     def detunings(self):
-        """Ascending absolute detunings conjugate to the time grid."""
-        return self.carrier_detuning + 2.0 * math.pi * np.fft.fftshift(
-            np.fft.fftfreq(self.t.size, d=self.dt)
-        )
+        """Ascending absolute detunings conjugate to the time grid (read-only)."""
+        return self._detunings
+
+    def at_carrier(self, carrier_detuning) -> PulseWaveform:
+        """This envelope at another carrier detuning.
+
+        The spectrum depends on the envelope alone, so the new pulse shares
+        this pulse's (computed here if it was not yet).
+        """
+        pulse = replace(self, carrier_detuning=float(carrier_detuning))
+        pulse.__dict__["spectrum"] = self.spectrum
+        return pulse
 
     def power(self):
         """Instantaneous photon flux |envelope|^2."""
@@ -160,13 +189,17 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
                          switch_off=float(footprint[1]))
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 def _check_alias(pulse: PulseWaveform, spectrum):
     power = np.abs(spectrum) ** 2
     total = float(np.sum(power))
     if total == 0.0:
         return
-    omega = 2.0 * math.pi * np.fft.fftfreq(pulse.t.size, d=pulse.dt)
-    outer = np.abs(omega) >= (1.0 - ALIAS_BAND) * (math.pi / pulse.dt)
+    outer = np.abs(pulse.omega) >= (1.0 - ALIAS_BAND) * (math.pi / pulse.dt)
     fraction = float(np.sum(power[outer]) / total)
     if fraction > ALIAS_TOL:
         raise ValueError(
@@ -192,10 +225,8 @@ def propagate_pulse(pulse: PulseWaveform, medium: TransferSpectrum) -> PulseWave
             f"(medium spans [{medium.delta[0]:.6g}, {medium.delta[-1]:.6g}], "
             f"pulse expects [{expected[0]:.6g}, {expected[-1]:.6g}])"
         )
-    spectrum = np.fft.fft(pulse.envelope)
-    _check_alias(pulse, spectrum)
     response = np.fft.ifftshift(medium.amplitude)
-    out = np.fft.ifft(spectrum * response)
+    out = np.fft.ifft(pulse.spectrum * response)
     energy = float(np.sum(np.abs(out) ** 2) * pulse.dt)
     return PulseWaveform(pulse.t, out, pulse.carrier_detuning, energy,
                          switch_off=pulse.switch_off)
@@ -254,9 +285,7 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     trace_atoms selects which atoms to store (0-based; None = all, () =
     none); trace_stride subsamples the stored traces in time.
     """
-    spectrum = np.fft.fft(pulse.envelope)
-    _check_alias(pulse, spectrum)
-    omega = 2.0 * math.pi * np.fft.fftfreq(pulse.t.size, d=pulse.dt)
+    spectrum, omega = pulse.spectrum, pulse.omega
     delta = pulse.carrier_detuning + omega
     n_atoms = ensemble.n_atoms
     if trace_atoms is None:

@@ -333,9 +333,14 @@ def _od(config: ScenarioConfig) -> float:
 
 def _pulse(config: ScenarioConfig, carrier):
     t = time_grid(config.span, config.grid_points)
-    return synthesize_pulse(t, _ns(config, config.duration_ns), _ns(config, config.rise_fall_ns),
-                            carrier_detuning=carrier, photon_number=config.photon_number,
-                            start=_ns(config, config.start_ns))
+    pulse = synthesize_pulse(t, _ns(config, config.duration_ns),
+                             _ns(config, config.rise_fall_ns), carrier_detuning=carrier,
+                             photon_number=config.photon_number,
+                             start=_ns(config, config.start_ns))
+    # the aliasing guard, spectrum and detunings run before the scenario's
+    # work, so the arrays the pulse keeps sit below its temporaries on the heap
+    _ = pulse.spectrum, pulse.detunings()
+    return pulse
 
 
 def _crop(t, t_max, stride):

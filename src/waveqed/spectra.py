@@ -140,10 +140,78 @@ def excitation_amplitudes(delta, ensemble: EnsembleSpec):
     return out[:, 0] if np.ndim(delta) == 0 else out
 
 
+# Block lengths of the homogeneous recursion.  With |s| <= 1 each atom
+# scales y by a factor in [(1/2-beta)/(1/2+beta), (1/2+beta)/(1/2-beta)],
+# so a block of K atoms stays inside float range while (1/(1/2-beta))^K
+# does: K = 32 needs 1/2 - beta >= 1e-9, K = 16 any margin above 2e-12.
+_LONG_BLOCK, _LONG_BLOCK_MARGIN, _SHORT_BLOCK = 32, 1e-9, 16
+
+
 def _recursion(delta, ensemble, eps):
+    """(grid, prod_n t_n, s_1) of the two-way recursion on a uniform grid.
+
+    Every atom is passive (beta_n <= 1/2), so the reflection carried from
+    the far end keeps |s| <= 1 (to ~1e-12 in floating point) and every
+    denominator has Re den >= 1/2 - beta_n.  When 1/2 - max beta exceeds
+    2 max(eps, RECURSION_EPS) no point can be degenerate, and the
+    division-free homogeneous recursion runs; otherwise (beta at or next
+    to 1/2) the screened one counts the degenerate points and warns.
+    """
     # Any uniform increasing grid: only the FFT needs a power-of-two length,
     # so callers may evaluate one union grid for several pulse grids.
     delta = _uniform_grid(delta)
+    margin = 0.5 - float(np.max(ensemble.beta))
+    if margin > 2.0 * max(eps, RECURSION_EPS):
+        block = _LONG_BLOCK if margin >= _LONG_BLOCK_MARGIN else _SHORT_BLOCK
+        return (delta, *_homogeneous_recursion(delta, ensemble, block))
+    return (delta, *_screened_recursion(delta, ensemble, eps))
+
+
+def _homogeneous_recursion(delta, ensemble, block):
+    """(prod_n t_n, s_1) with the reflection carried as the pair s = x / y.
+
+    Dividing the Moebius step s_n = ((num - beta) s - beta e) / (num + beta
+    + beta s / e), num = 1/2 - beta + i(delta - shift) and e = e^{i theta},
+    through by num gives, with a = beta / num (one array per run of atoms
+    with equal beta and shift),
+
+        p = a (x + e y),  x <- x - p,  y <- y + p / e,
+
+    and t_n = y_old / y_new telescopes.  Every `block` atoms, and after the
+    last, the pair is rescaled to y = 1 and 1/y folded into the
+    transmission: the only divisions.
+    """
+    x = np.zeros(delta.size, dtype=complex)
+    y = np.ones(delta.size, dtype=complex)
+    t_prod = np.ones(delta.size, dtype=complex)
+    p = np.empty(delta.size, dtype=complex)
+    atom = None
+    for count, n in enumerate(range(ensemble.n_atoms - 1, -1, -1), start=1):
+        b, shift = ensemble.beta[n], ensemble.shift[n]
+        if (b, shift) != atom:
+            atom = (b, shift)
+            a = b / ((0.5 - b) + 1j * (delta - shift))
+        e_plus = complex(np.exp(1j * ensemble.phase[n]))
+        np.multiply(y, e_plus, out=p)
+        p += x
+        p *= a
+        x -= p
+        p *= e_plus.conjugate()
+        y += p
+        if count % block == 0 or n == 0:
+            t_prod /= y
+            x /= y
+            y.fill(1.0)
+    return t_prod, x
+
+
+def _screened_recursion(delta, ensemble, eps):
+    """(prod_n t_n, s_1) by the direct step, one division per atom.
+
+    Screens every denominator against eps, counts the degenerate points
+    and warns at the caller of transfer_bidirectional; the path for beta
+    at or near 1/2.
+    """
     base = 0.5 + 1j * delta
     s = np.zeros(delta.size, dtype=complex)
     t_prod = np.ones(delta.size, dtype=complex)
@@ -176,9 +244,9 @@ def _recursion(delta, ensemble, eps):
             f"{degenerate} grid point(s) with scattering denominator below "
             f"{eps:g} (min |den| = {min_den:.3e})",
             DegenerateDenominatorWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    return delta, t_prod, s
+    return t_prod, s
 
 
 def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):

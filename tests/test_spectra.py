@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from waveqed import (
     transfer_cavity,
     transfer_unidirectional,
 )
-from waveqed.spectra import RECURSION_EPS, _recursion
+from waveqed import fitting, scenarios, spectra
+from waveqed.disorder import DisorderModel, sample_configuration
+from waveqed.spectra import RECURSION_EPS, _recursion, _screened_recursion
 
 from oracles import linear_system_solution, transfer_matrix_solution
 
@@ -151,11 +154,9 @@ class TestBidirectional:
             assert_spectra_match(r_spec.amplitude, r_ref)
 
     def test_matches_oracle_full_beta_range(self):
-        # with beta up to 0.5 the transmission cancels to ~0 at resonance;
-        # there the 1/t transfer-matrix entries blow up and the ORACLE loses
-        # ~9 digits (verified against an extended-precision run, where the
-        # downward recursion stays exact), so the comparison is bounded by
-        # the oracle's conditioning rather than 1e-10
+        # with beta up to 0.5 the transmission cancels to ~0 at resonance and
+        # the 1/t transfer-matrix entries blow up; the oracle's t_N = 1/m22
+        # keeps full accuracy there (m11 + m12 r_N lost ~9 digits)
         rng = np.random.default_rng(9)
         g = detuning_grid(30.0, 256)
         for _ in range(6):
@@ -163,8 +164,8 @@ class TestBidirectional:
             ens = random_ensemble(rng, n, beta_max=0.5)
             t_spec, r_spec = transfer_bidirectional(g, ens)
             t_ref, r_ref = transfer_matrix_solution(g, ens.beta, ens.phase)
-            assert np.max(np.abs(t_spec.amplitude - t_ref)) < 2e-6
-            assert np.max(np.abs(r_spec.amplitude - r_ref)) < 2e-6
+            assert np.max(np.abs(t_spec.amplitude - t_ref)) < 1e-12
+            assert np.max(np.abs(r_spec.amplitude - r_ref)) < 1e-12
 
     def test_matches_dense_linear_system(self):
         rng = np.random.default_rng(11)
@@ -212,13 +213,81 @@ class TestBidirectional:
         message = re.escape(f"{expected} grid point(s) with scattering denominator below 0.3 "
                             f"(min |den| = {moduli[moduli < eps].min():.3e})")
         with np.errstate(invalid="ignore", divide="ignore"):
-            with pytest.warns(DegenerateDenominatorWarning, match=f"^{message}$"):
+            with pytest.warns(DegenerateDenominatorWarning, match=f"^{message}$") as record:
                 transfer_bidirectional(g, ens, eps=eps)
             with pytest.warns(DegenerateDenominatorWarning, match=r"^1 grid point"):
                 t_spec, _ = transfer_bidirectional(g, ens)
         at_zero = g == 0.0
         assert np.all(np.isnan(t_spec.amplitude[at_zero]))
         assert np.all(np.isfinite(t_spec.amplitude[~at_zero]))
+        # the warning points at the caller of transfer_bidirectional
+        assert [w.filename for w in record] == [__file__]
+
+
+class TestHomogeneousRecursion:
+    """The division-free recursion against the screened loop and the oracle."""
+
+    def test_matches_screened_loop_at_fig4_size(self):
+        config = scenarios.config_from_dict({"scenario": "fig4"})
+        pulse = scenarios._pulse(config, 0.0)
+        (grid, _), = fitting._shared_grids([pulse.at_carrier(c) for c in config.detunings])
+        model = DisorderModel(n_atoms=scenarios._ensemble(config).n_atoms,
+                              beta_mean=config.beta, seed=config.seed)
+        ens = sample_configuration(model, 0)
+        assert (ens.n_atoms, grid.size) == (1175, 16428)
+        _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+        t_ref, s_ref = _screened_recursion(grid, ens, RECURSION_EPS)
+        assert np.max(np.abs(t_prod - t_ref)) <= 1e-13
+        assert np.max(np.abs(s - s_ref)) <= 1e-13
+
+    def test_screened_loop_only_at_or_near_full_coupling(self, monkeypatch):
+        calls = []
+        screened = spectra._screened_recursion
+        monkeypatch.setattr(spectra, "_screened_recursion",
+                            lambda *args: calls.append(args[1].beta[0]) or screened(*args))
+        g = detuning_grid(4.0, 64)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore", divide="ignore"):
+            warnings.simplefilter("ignore", DegenerateDenominatorWarning)
+            for beta in (0.0055, 0.49, 0.5 - 1e-9, 0.5 - 3e-12, 0.5 - 1e-12, 0.5):
+                transfer_bidirectional(g, EnsembleSpec.uniform(3, beta))
+        assert calls == [0.5 - 1e-12, 0.5]
+
+    def test_matches_transfer_matrix_on_random_chains(self):
+        # up to 130 atoms, so four or more rescaled blocks of 32, and random
+        # per-atom shifts, so a_n changes from atom to atom
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        grid = np.linspace(-19.5, 19.5, 64)
+        chain = st.integers(1, 130).flatmap(lambda n: st.tuples(*(
+            st.lists(values, min_size=n, max_size=n)
+            for values in (st.floats(0.001, 0.49), st.floats(0.0, 2 * math.pi),
+                           st.floats(-20.0, 20.0)))))
+        sizes = []
+
+        def law(params):
+            beta, phase, shift = map(np.array, params)
+            sizes.append(beta.size)
+            _, t_prod, s = _recursion(grid, EnsembleSpec(beta, phase, shift), RECURSION_EPS)
+            t_ref, s_ref = transfer_matrix_solution(grid, beta, phase, shift)
+            assert np.max(np.abs(t_prod - t_ref)) <= 1e-12
+            assert np.max(np.abs(s - s_ref)) <= 1e-12
+
+        settings = hypothesis.settings(derandomize=True, max_examples=50, deadline=None,
+                                       database=None)
+        settings(hypothesis.given(chain))(law)()
+        assert max(sizes) > 3 * 32
+
+    @pytest.mark.parametrize("margin", [1e-9, 3e-12])
+    def test_finite_and_passive_next_to_full_coupling(self, margin):
+        # on resonance each atom scales y by up to 1/margin, which overflows
+        # within a few dozen atoms unless every block is rescaled
+        rng = np.random.default_rng(5)
+        n = 2000
+        ens = EnsembleSpec(np.full(n, 0.5 - margin), rng.uniform(0.0, 2 * math.pi, n), 0.0)
+        g = detuning_grid(64.0, 4096)
+        _, t_prod, s = _recursion(g, ens, RECURSION_EPS)
+        assert np.all(np.isfinite(t_prod)) and np.all(np.isfinite(s))
+        assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
 
 
 class TestCavity:
