@@ -72,16 +72,17 @@ def cmd_sweep(args) -> int:
     base_out = output.get("directory") if isinstance(output, dict) else None
     leaf = args.param.split(".")[-1]
     names = [f"{leaf}={value}" for value in values]
+    configs = []  # every point is checked before any runs
     for value, name in zip(values, names):
         if any(sep and sep in name for sep in (os.sep, os.altsep)):
             raise ConfigError(args.param, f"value {value!r} would write outside the sweep "
                                           f"directory (directory name {name!r})")
-    for value, name in zip(values, names):
         point = copy.deepcopy(raw)
         _set_dotted(point, args.param, value)
         out_dir = base_out or f"out/{point.get('scenario', 'sweep')}"
         _set_dotted(point, "output.directory", f"{out_dir}/{name}")
-        config = config_from_dict(point)
+        configs.append(config_from_dict(point))
+    for value, config in zip(values, configs):
         files = run_scenario(config)
         print(f"{args.param}={value}: {files['manifest'].parent}")
     return 0
@@ -114,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--scenario", choices=SCENARIOS,
                                help="run a built-in scenario with default parameters")
         p.add_argument("--out", help="output directory (overrides output.directory)")
-        p.add_argument("--seed", type=int, help="disorder seed (overrides disorder.seed)")
-        p.add_argument("--threads", type=int, help="worker threads for disorder averages")
+        p.add_argument("--seed", type=int, help="seed of fig4 and s1 (overrides disorder.seed)")
+        p.add_argument("--threads", type=int, help="worker threads of fig4 and s1")
         p.add_argument("--grid-points", type=int, dest="grid_points",
                        help="grid length, power of two (overrides grid.points)")
 

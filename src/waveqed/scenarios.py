@@ -1,11 +1,11 @@
 """Scenario runner: strict configuration parsing and CSV/manifest emission.
 
-Configurations are JSON with nested sections; unknown keys are errors.
-All physical inputs are SI at this boundary (durations in ns) and are
-converted to natural units through Units before any computation.  Output
-files are CSV with a provenance comment line, written atomically; the
-manifest records every resolved parameter so reruns are bitwise
-identical.
+Configurations are JSON with nested sections; unknown keys, and keys the
+scenario does not read, are errors.  All physical inputs are SI at this
+boundary (durations in ns) and are converted to natural units through
+Units before any computation.  Output files are CSV with a provenance
+comment line, written atomically; the manifest records every parameter
+the scenario reads, so reruns are bitwise identical.
 """
 
 from __future__ import annotations
@@ -43,13 +43,19 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _field(path, default, kind=float, minimum=None):
-    """Schema entry: dotted path in the config file, base default, type, minimum.
+def _field(path, default, kind=float, minimum=None, readers=SCENARIOS, nullable=False):
+    """Schema entry: dotted path in the config file, base default, type, minimum, readers.
 
     kind is float, int, str, or tuple[float, ...] / tuple[int, ...] for a
-    non-empty list; a field may be null exactly when its base default is None.
+    non-empty list.  Only the readers, the scenarios that read the field,
+    accept, default and record it; it is None in every other scenario's
+    config.  Only a nullable field may be null.
     """
-    return field(metadata={"path": path, "default": default, "kind": kind, "minimum": minimum})
+    return field(metadata={"path": path, "default": default, "kind": kind, "minimum": minimum,
+                           "readers": readers, "nullable": nullable})
+
+
+_SIZED = ("fig2", "fig4", "fig5", "s1", "custom")  # one ensemble, sized by od or n_atoms
 
 
 @dataclass(frozen=True)
@@ -63,32 +69,37 @@ class ScenarioConfig:
     scenario: str = _field("scenario", None, str)
     gamma0_hz: float = _field("gamma0_hz", GAMMA0_HZ, minimum=1e-12)
     beta: float = _field("beta", BETA_DEFAULT)
-    od: float | None = _field("od", None, minimum=0.0)
-    n_atoms: int | None = _field("n_atoms", None, int, minimum=1)
-    detuning: float | None = _field("detuning", None)
-    detunings: tuple | None = _field("detunings", None, tuple[float, ...])
-    od_values: tuple | None = _field("od_values", None, tuple[float, ...], minimum=0.0)
+    od: float | None = _field("od", None, minimum=0.0, readers=_SIZED, nullable=True)
+    n_atoms: int | None = _field("n_atoms", None, int, minimum=1, readers=_SIZED, nullable=True)
+    detuning: float | None = _field("detuning", None,
+                                    readers=("fig2", "fig3", "fig5", "s1", "custom"))
+    detunings: tuple | None = _field("detunings", None, tuple[float, ...], readers=("fig4",))
+    od_values: tuple | None = _field("od_values", None, tuple[float, ...], minimum=0.0,
+                                     readers=("fig3",))
     duration_ns: float = _field("pulse.duration_ns", 150.0, minimum=1e-12)
     rise_fall_ns: float = _field("pulse.rise_fall_ns", 0.85, minimum=0.0)
-    photon_number: float = _field("pulse.photon_number", 2.0, minimum=0.0)
+    photon_number: float = _field("pulse.photon_number", 2.0, minimum=1e-12)
     start_ns: float = _field("pulse.start_ns", 30.0, minimum=0.0)
     span: float = _field("grid.span", 1024.0, minimum=1e-12)
     grid_points: int = _field("grid.points", 2 ** 15, int, minimum=2)
-    seed: int = _field("disorder.seed", 1, int, minimum=0)
-    n_configs: int = _field("disorder.n_configs", 1000, int, minimum=1)
-    roundtrip_ns: float = _field("cavity.roundtrip_ns", 220.0, minimum=1e-12)
-    cavity_t_rt: float = _field("cavity.t_rt", 0.85)
-    cavity_t_c: float = _field("cavity.t_c", 0.9)
-    cavity_phi0: float = _field("cavity.phi0", 0.0)
-    roundtrips: int = _field("cavity.roundtrips", 7, int, minimum=1)
-    fit_window_ns: float = _field("fit.window_ns", 30.0, minimum=1e-12)
-    fit_window_short_ns: float = _field("fit.window_short_ns", 15.0, minimum=1e-12)
-    fit_od_threshold: float = _field("fit.od_threshold", 20.7, minimum=0.0)
-    settle_ns: float = _field("fit.settle_ns", 1.0, minimum=0.0)
-    out_dir: str = _field("output.directory", None, str)
-    time_stride: int = _field("output.time_stride", 8, int, minimum=1)
-    trace_atoms: tuple = _field("output.trace_atoms", (1, 100, 600), tuple[int, ...], minimum=1)
-    threads: int = _field("threads", 1, int, minimum=1)
+    seed: int = _field("disorder.seed", 1, int, minimum=0, readers=("fig4", "s1"))
+    n_configs: int = _field("disorder.n_configs", 1000, int, minimum=1, readers=("fig4", "s1"))
+    roundtrip_ns: float = _field("cavity.roundtrip_ns", 220.0, minimum=1e-12, readers=("fig5",))
+    cavity_t_rt: float = _field("cavity.t_rt", 0.85, readers=("fig5",))
+    cavity_t_c: float = _field("cavity.t_c", 0.9, readers=("fig5",))
+    cavity_phi0: float = _field("cavity.phi0", 0.0, readers=("fig5",))
+    roundtrips: int = _field("cavity.roundtrips", 7, int, minimum=1, readers=("fig5",))
+    fit_window_ns: float = _field("fit.window_ns", 30.0, minimum=1e-12, readers=("fig3", "fig4"))
+    fit_window_short_ns: float = _field("fit.window_short_ns", 15.0, minimum=1e-12,
+                                        readers=("fig3", "fig4"))
+    fit_od_threshold: float = _field("fit.od_threshold", 20.7, minimum=0.0, readers=("fig3",))
+    settle_ns: float = _field("fit.settle_ns", 1.0, minimum=0.0, readers=("fig3", "fig4", "fig5"))
+    out_dir: str = _field("output.directory", None, str, nullable=True)
+    time_stride: int = _field("output.time_stride", 8, int, minimum=1,
+                              readers=("fig2", "fig5", "s1", "custom"))
+    trace_atoms: tuple = _field("output.trace_atoms", (1, 100, 600), tuple[int, ...], minimum=1,
+                                readers=("fig2",))
+    threads: int = _field("threads", 1, int, minimum=1, readers=("fig4", "s1"))
 
 
 # fig3 and fig4 start the pulse at 1/Gamma0 (exactly, at the default
@@ -99,27 +110,13 @@ _START_1_OVER_GAMMA0_NS = 30.60671982536449
 # each scenario's departures from the base defaults, by dotted path
 _SCENARIO_DEFAULTS = {
     "fig2": {"od": 19.3, "detuning": 17.3},
-    "fig3": {
-        "detuning": 3.8,
-        "od_values": (2.0, 5.0, 8.0, 11.0, 14.0, 17.0, 20.0, 23.0, 26.0, 29.0, 32.0, 34.0),
-        "pulse.start_ns": _START_1_OVER_GAMMA0_NS,
-    },
-    "fig4": {
-        "od": 26.0,
-        "detunings": (0.5, 1.5, 3.0, 4.5, 6.0),
-        "pulse.start_ns": _START_1_OVER_GAMMA0_NS,
-        "pulse.photon_number": 1.0,
-        "grid.points": 2 ** 14,
-        "disorder.n_configs": 64,
-    },
-    "fig5": {
-        "od": 14.0,
-        "detuning": 8.7,
-        "pulse.duration_ns": 120.0,
-        "pulse.photon_number": 1.0,
-        "grid.span": 2048.0,
-        "grid.points": 2 ** 16,
-    },
+    "fig3": {"detuning": 3.8, "pulse.start_ns": _START_1_OVER_GAMMA0_NS,
+             "od_values": (2.0, 5.0, 8.0, 11.0, 14.0, 17.0, 20.0, 23.0, 26.0, 29.0, 32.0, 34.0)},
+    "fig4": {"od": 26.0, "detunings": (0.5, 1.5, 3.0, 4.5, 6.0), "disorder.n_configs": 64,
+             "pulse.start_ns": _START_1_OVER_GAMMA0_NS, "pulse.photon_number": 1.0,
+             "grid.points": 2 ** 14},
+    "fig5": {"od": 14.0, "detuning": 8.7, "pulse.duration_ns": 120.0, "pulse.photon_number": 1.0,
+             "grid.span": 2048.0, "grid.points": 2 ** 16},
     "s1": {"od": 19.3, "detuning": 17.3, "grid.points": 2 ** 14},
     "custom": {"od": 1.0, "detuning": 0.0},
 }
@@ -138,13 +135,15 @@ def _nest(pairs) -> dict:
 
 
 def _flat_defaults(scenario: str) -> dict:
-    flat = {f.metadata["path"]: f.metadata["default"] for f in fields(ScenarioConfig)}
+    """Defaults by dotted path, of exactly the fields the scenario reads."""
+    flat = {f.metadata["path"]: f.metadata["default"] for f in fields(ScenarioConfig)
+            if scenario in f.metadata["readers"]}
     flat.update(_SCENARIO_DEFAULTS[scenario], scenario=scenario)
     return flat
 
 
 def scenario_defaults(scenario: str) -> dict:
-    """Built-in nested config dict for a scenario."""
+    """Built-in nested config dict for a scenario: exactly the keys it reads."""
     if scenario not in SCENARIOS:
         raise ConfigError("scenario", f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
     return _nest(_flat_defaults(scenario).items())
@@ -157,8 +156,9 @@ def _require(cond, field, message):
 
 def _check_number(value, field, minimum=None, integer=False):
     if integer:
-        _require(isinstance(value, int) and not isinstance(value, bool),
-                 field, f"expected an integer, got {value!r}")
+        # every integer field is a count, an index or a seed: unsigned 64-bit
+        _require(isinstance(value, int) and not isinstance(value, bool) and value < 2 ** 64,
+                 field, f"expected an integer below 2**64, got {value!r}")
         value = int(value)
     else:
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),
@@ -174,7 +174,7 @@ def _check_value(value, meta):
     """One field's value checked against its schema entry."""
     path, kind, minimum = meta["path"], meta["kind"], meta["minimum"]
     if value is None:
-        _require(meta["default"] is None, path, "value required")
+        _require(meta["nullable"], path, "value required")
         return None
     if kind is str:
         _require(isinstance(value, str) and value, path, "expected a non-empty string")
@@ -188,38 +188,39 @@ def _check_value(value, meta):
     return _check_number(value, path, minimum, kind is int)
 
 
-def _check_keys(section, schema, prefix=""):
-    """Reject unknown keys, and non-objects where the schema has a section."""
+def _given(section, schema, scenario, prefix=""):
+    """The {dotted path: value} pairs a raw config sets.  Unknown keys, keys the
+    scenario does not read (schema leaves hold the readers) and non-objects
+    where the schema has a section are errors."""
+    given = {}
     for key, value in section.items():
-        _require(key in schema, prefix + key, "unknown key")
+        path = prefix + key
+        _require(key in schema, path, "unknown key")
         if isinstance(schema[key], dict):
-            _require(isinstance(value, dict), prefix + key, "expected a JSON object")
-            _check_keys(value, schema[key], f"{prefix}{key}.")
+            _require(isinstance(value, dict), path, "expected a JSON object")
+            given.update(_given(value, schema[key], scenario, path + "."))
+        else:
+            _require(scenario in schema[key], path,
+                     f"not read by {scenario}; read only by {', '.join(schema[key])}")
+            given[path] = value
+    return given
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Validate a nested config dict (strict keys) into a ScenarioConfig."""
+    """Validate a nested config dict (strict keys) into a ScenarioConfig;
+    a key the scenario does not read is an error, and its field is None."""
     _require(isinstance(raw, dict), "", "config must be a JSON object")
     scenario = raw.get("scenario")
     _require(scenario in SCENARIOS, "scenario",
              f"must be one of {SCENARIOS}, got {scenario!r}")
-    _check_keys(raw, _nest((f.metadata["path"], None) for f in fields(ScenarioConfig)))
-
-    defaults = _flat_defaults(scenario)
-    v = {}
-    for f in fields(ScenarioConfig):
-        *sections, key = f.metadata["path"].split(".")
-        node = raw
-        for section in sections:
-            node = node.get(section, {})
-        v[f.name] = _check_value(node.get(key, defaults[f.metadata["path"]]), f.metadata)
+    flat = _flat_defaults(scenario)
+    flat.update(_given(raw, _nest((f.metadata["path"], f.metadata["readers"])
+                                  for f in fields(ScenarioConfig)), scenario))
+    v = {f.name: _check_value(flat[f.metadata["path"]], f.metadata)
+         if f.metadata["path"] in flat else None for f in fields(ScenarioConfig)}
 
     _require(0.0 < v["beta"] < 0.5, "beta", f"must lie in (0, 0.5), got {v['beta']}")
-    if scenario == "fig3":
-        _require(v["od"] is None and v["n_atoms"] is None, "od",
-                 "fig3 sizes ensembles from od_values; leave od/n_atoms unset")
-        _require(v["od_values"] is not None, "od_values", "required for fig3")
-    else:
+    if "od" in flat:
         _require((v["od"] is None) != (v["n_atoms"] is None), "od",
                  "exactly one of od / n_atoms must be set")
     # an OD below one atom's worth rounds to an empty ensemble
@@ -228,15 +229,15 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     for path, od in ods:
         _require(od_to_atom_number(od, v["beta"]) >= 1, path,
                  f"sizes zero atoms at beta = {v['beta']}, got {od}")
-    if scenario == "fig4":
-        _require(v["detunings"] is not None, "detunings", "required for fig4")
-    if scenario in ("fig2", "fig5", "s1", "custom"):
-        _require(v["detuning"] is not None, "detuning", "required for this scenario")
     _require(v["rise_fall_ns"] < v["duration_ns"], "pulse.rise_fall_ns",
              "must be shorter than duration_ns")
     points = v["grid_points"]
     _require(points & (points - 1) == 0, "grid.points", "must be a power of two")
     if scenario == "fig5":
+        _require(0.0 < v["cavity_t_rt"] <= 1.0, "cavity.t_rt",
+                 f"must lie in (0, 1], got {v['cavity_t_rt']}")
+        _require(abs(v["cavity_t_c"]) <= 1.0, "cavity.t_c",
+                 f"|t_c| must be <= 1, got {v['cavity_t_c']}")
         # ring_multipass reads the grid up to start + (roundtrips + 1) snapped roundtrips
         units, dt = Units(v["gamma0_hz"]), math.pi / v["span"]
         tau = roundtrip_samples(units.time_from_si(v["roundtrip_ns"] * 1e-9), dt) * dt
@@ -245,18 +246,15 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         _require(t_end <= (points - 1) * dt, "grid.points",
                  f"the ring window ends at {t_end:.4g} (1/Gamma0), past the grid's "
                  f"{(points - 1) * dt:.4g}; needs >= {needed} points at span {v['span']:g}")
-    _require(0.0 < v["cavity_t_rt"] <= 1.0, "cavity.t_rt",
-             f"must lie in (0, 1], got {v['cavity_t_rt']}")
-    _require(abs(v["cavity_t_c"]) <= 1.0, "cavity.t_c",
-             f"|t_c| must be <= 1, got {v['cavity_t_c']}")
     if v["out_dir"] is None:
         v["out_dir"] = f"out/{scenario}"
     return ScenarioConfig(**v)
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """Nested dict form of a config (inverse of config_from_dict)."""
-    return _nest((f.metadata["path"], getattr(config, f.name)) for f in fields(config))
+    """Nested dict of the fields the config's scenario reads (inverse of config_from_dict)."""
+    return _nest((f.metadata["path"], getattr(config, f.name)) for f in fields(config)
+                 if config.scenario in f.metadata["readers"])
 
 
 def read_config_json(path) -> dict:
@@ -472,7 +470,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     Each runner returns its tables as {file stem: columns}; this is the one
     place that writes them, as out_dir/<stem>.csv, next to the manifest.
     Reruns with an identical config produce bitwise-identical files; the
-    manifest records every parameter needed to reproduce them.
+    manifest records every parameter the scenario reads, which reproduces them.
     """
     out = Path(config.out_dir)
     tables = _RUNNERS[config.scenario](config)

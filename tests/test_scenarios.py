@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from waveqed import (
     ConfigError,
+    ScenarioConfig,
     Units,
     backward_decay_sweep,
     collective_decay_vs_od,
@@ -24,7 +26,9 @@ from waveqed.cli import main
 from waveqed.scenarios import SCENARIOS
 
 
-def tiny_custom(out_dir, **overrides):
+def tiny_custom(out_dir, drop=(), **overrides):
+    """custom at a tiny size; overrides replace keys or update sections, and
+    drop removes the top-level keys another scenario does not read."""
     raw = {
         "scenario": "custom",
         "od": 1.5,
@@ -38,6 +42,8 @@ def tiny_custom(out_dir, **overrides):
             raw[key].update(value)
         else:
             raw[key] = value
+    for key in drop:
+        del raw[key]
     return raw
 
 
@@ -102,6 +108,10 @@ class TestConfigParsing:
          "output.trace_atoms[1]"),
         ({"scenario": "fig2", "output": {"trace_atoms": [0]}}, "output.trace_atoms[0]"),
         ({"scenario": "fig2", "detuning": float("nan")}, "detuning"),
+        # every output is linear in the photon number: zero photons leaves nothing to fit
+        ({"scenario": "fig3", "pulse": {"photon_number": 0.0}}, "pulse.photon_number"),
+        ({"scenario": "s1", "disorder": {"seed": 2 ** 64}}, "disorder.seed"),
+        ({"scenario": "fig2", "n_atoms": 2 ** 64, "od": None}, "n_atoms"),
     ])
     def test_bad_number_named_with_index(self, raw, field):
         with pytest.raises(ConfigError) as excinfo:
@@ -118,6 +128,69 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             config_from_dict(raw)
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"scenario": "fig3", "od_values": None}, "od_values"),
+        ({"scenario": "fig4", "detunings": None}, "detunings"),
+        ({"scenario": "custom", "detuning": None}, "detuning"),
+        ({"scenario": "s1", "od": None}, "od"),  # neither od nor n_atoms
+    ])
+    def test_required_field_named(self, raw, field):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(raw)
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("raw, field", [
+        # every one is read by some other scenario; a manifest written before
+        # scenarios recorded only the keys they read (fig3's "od": null) is one
+        ({"scenario": "fig2", "detunings": [1.0], "od_values": [3.0], "cavity": {"t_c": 0.5},
+          "disorder": {"seed": 7}, "threads": 4}, "detunings"),
+        ({"scenario": "fig2", "disorder": {"seed": 7}}, "disorder.seed"),
+        ({"scenario": "fig2", "cavity": {"t_c": 1.5}}, "cavity.t_c"),
+        ({"scenario": "fig2", "fit": {"window_ns": 20.0}}, "fit.window_ns"),
+        ({"scenario": "fig3", "od": None}, "od"),
+        ({"scenario": "fig3", "disorder": {"n_configs": 10}}, "disorder.n_configs"),
+        ({"scenario": "fig3", "cavity": {"roundtrips": 3}}, "cavity.roundtrips"),
+        ({"scenario": "fig3", "output": {"time_stride": 4}}, "output.time_stride"),
+        ({"scenario": "fig4", "detuning": 1.0}, "detuning"),
+        ({"scenario": "fig4", "cavity": {"phi0": 0.1}}, "cavity.phi0"),
+        ({"scenario": "fig4", "fit": {"od_threshold": 10.0}}, "fit.od_threshold"),
+        ({"scenario": "fig4", "output": {"time_stride": 2}}, "output.time_stride"),
+        ({"scenario": "fig5", "threads": 2}, "threads"),
+        ({"scenario": "fig5", "disorder": {"seed": 3}}, "disorder.seed"),
+        ({"scenario": "fig5", "fit": {"window_short_ns": 10.0}}, "fit.window_short_ns"),
+        ({"scenario": "fig5", "output": {"trace_atoms": [1]}}, "output.trace_atoms"),
+        ({"scenario": "s1", "od_values": [2.0]}, "od_values"),
+        ({"scenario": "s1", "cavity": {"t_rt": 0.5}}, "cavity.t_rt"),
+        ({"scenario": "s1", "fit": {"settle_ns": 2.0}}, "fit.settle_ns"),
+        ({"scenario": "s1", "output": {"trace_atoms": [1]}}, "output.trace_atoms"),
+        ({"scenario": "custom", "detunings": [0.5]}, "detunings"),
+        ({"scenario": "custom", "disorder": {"seed": 5}}, "disorder.seed"),
+        ({"scenario": "custom", "cavity": {"roundtrip_ns": 100.0}}, "cavity.roundtrip_ns"),
+        ({"scenario": "custom", "fit": {"od_threshold": 5.0}}, "fit.od_threshold"),
+        ({"scenario": "custom", "output": {"trace_atoms": [1]}}, "output.trace_atoms"),
+    ])
+    def test_key_the_scenario_does_not_read_named(self, raw, field):
+        with pytest.raises(ConfigError, match="not read by") as excinfo:
+            config_from_dict(raw)
+        assert excinfo.value.field == field
+
+    def test_each_scenario_accepts_and_records_only_what_it_reads(self):
+        read = {s: {f.metadata["path"] for f in fields(ScenarioConfig)
+                    if s in f.metadata["readers"] and f.name != "scenario"} for s in SCENARIOS}
+        counts = {s: len(paths) for s, paths in read.items()}
+        assert counts == {"fig2": 14, "fig3": 15, "fig4": 18, "fig5": 19, "s1": 16, "custom": 13}
+
+        def paths(nested, prefix=""):
+            return {p for k, v in nested.items() for p in (
+                paths(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k})}
+
+        for scenario in SCENARIOS:
+            config = config_from_dict({"scenario": scenario})
+            assert paths(scenario_defaults(scenario)) == read[scenario] | {"scenario"}
+            assert paths(config_to_dict(config)) == read[scenario] | {"scenario"}
+            unread = [f.name for f in fields(config) if scenario not in f.metadata["readers"]]
+            assert all(getattr(config, name) is None for name in unread)
 
     @pytest.mark.parametrize("raw, needed", [
         ({"scenario": "fig5", "grid": {"points": 2 ** 15}}, 2 ** 16),
@@ -155,8 +228,9 @@ class TestConfigParsing:
 # each scenario at a tiny size: its overrides of tiny_custom and the file stems it writes
 TINY_RUNS = {
     "fig2": ({}, {"transmitted_power", "atom_traces", "atom_colormap"}),
-    "fig3": ({"od": None, "od_values": [2.0, 5.0]}, {"decay_rate_vs_od"}),
-    "fig4": ({"detunings": [0.5], "disorder": {"n_configs": 2}}, {"decay_rate_vs_detuning"}),
+    "fig3": ({"drop": ("od",), "od_values": [2.0, 5.0]}, {"decay_rate_vs_od"}),
+    "fig4": ({"drop": ("detuning",), "detunings": [0.5], "disorder": {"n_configs": 2}},
+             {"decay_rate_vs_detuning"}),
     "fig5": ({"cavity": {"roundtrips": 2}},
              {"cavity_trace", "roundtrip_rates", "roundtrip_comparison"}),
     "s1": ({"disorder": {"n_configs": 4}}, {"uni_vs_bi"}),
@@ -218,7 +292,7 @@ class TestRunScenario:
         assert header == ["time_ns", "p_atom_1_probability", "p_atom_50_probability"]
 
     @pytest.mark.parametrize("scenario, extra", [
-        ("fig4", {"detunings": [0.5, 3.0], "disorder": {"n_configs": 2}}),
+        ("fig4", {"drop": ("detuning",), "detunings": [0.5, 3.0], "disorder": {"n_configs": 2}}),
         ("fig5", {"cavity": {"roundtrips": 2}}),
     ])
     def test_n_atoms_sizes_like_its_resonant_od(self, tmp_path, scenario, extra):
@@ -290,13 +364,37 @@ class TestCli:
 
     def test_run_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(tiny_custom(tmp_path / "ignored")))
+        path.write_text(json.dumps(tiny_custom(tmp_path / "ignored", scenario="s1",
+                                               disorder={"n_configs": 2})))
         out_dir = tmp_path / "override"
         assert main(["run", "--config", str(path), "--out", str(out_dir),
                      "--seed", "9", "--threads", "2"]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["disorder"]["seed"] == 9
         assert manifest["config"]["threads"] == 2
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--seed", "5"], "disorder.seed"),
+        (["--threads", "3"], "threads"),
+    ])
+    def test_disorder_flags_rejected_where_unread(self, tmp_path, capsys, flags, field):
+        # custom has no disorder average: the flag is named, not ignored
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_custom(tmp_path / "out")))
+        assert main(["run", "--config", str(path), *flags]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["field"] == field
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_seed_beyond_64_bits_named(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_custom(tmp_path / "out", scenario="s1",
+                                               disorder={"seed": 2 ** 64, "n_configs": 2})))
+        assert main(["run", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["field"] == "disorder.seed"
 
     def test_structured_error_on_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -352,6 +450,14 @@ class TestCli:
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["field"] == "output.directory"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing ran
+
+    def test_sweep_rejects_a_key_the_scenario_does_not_read(self, tmp_path, capsys):
+        assert main(["sweep", "--scenario", "fig2", "--out", str(tmp_path / "sweep"),
+                     "--param", "disorder.seed", "--values", "1,2"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["field"] == "disorder.seed"
+        assert list(tmp_path.iterdir()) == []  # nothing ran
 
     @pytest.mark.parametrize("second_passes, code, tail", [
         (False, 1, ["FAIL second: off by one", "1/2 checks passed"]),
