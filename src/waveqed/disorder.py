@@ -53,9 +53,8 @@ def sample_configuration(model: DisorderModel, index: int) -> EnsembleSpec:
     if index < 0:
         raise ValueError(f"configuration index must be non-negative, got {index}")
     rng = np.random.default_rng(np.random.SeedSequence((model.seed, index)))
-    return EnsembleSpec(beta=np.full(model.n_atoms, model.beta_mean),
-                        phase=rng.uniform(0.0, 2.0 * math.pi, model.n_atoms),
-                        shift=np.zeros(model.n_atoms))
+    return EnsembleSpec(beta=model.beta_mean,
+                        phase=rng.uniform(0.0, 2.0 * math.pi, model.n_atoms))
 
 
 def _chunk_sums(model, observable, start, stop, first):

@@ -276,7 +276,7 @@ def disorder_averaged_forward(pulse, n_atoms, beta, n_configs, seed, n_workers=1
 class RingMultipass:
     """Ring run: out-coupled power with and without the medium, per roundtrip.
 
-    The roundtrip lasts shift samples (tau).  cavity_power and no_atom_power
+    The roundtrip lasts period samples (tau).  cavity_power and no_atom_power
     cover the samples of the window the run reads (at least up to
     start + (roundtrips + 1) tau).  Row m-1 of each per-roundtrip array is
     roundtrip m: the cavity flash rate, the rate of one pass at
@@ -286,7 +286,7 @@ class RingMultipass:
 
     cavity_power: np.ndarray
     no_atom_power: np.ndarray
-    shift: int
+    period: int
     tau: float
     local_time: np.ndarray
     cavity_rate: np.ndarray

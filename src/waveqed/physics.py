@@ -44,63 +44,43 @@ class Units:
         return t_seconds * self.gamma0_rad_per_s
 
 
-def _as_beta_array(beta, n=None):
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if n is not None and beta.size == 1:
-        beta = np.full(n, beta[0])
-    if np.any(beta <= 0.0) or np.any(beta > 0.5):
-        raise ValueError("coupling ratio beta must lie in (0, 0.5]")
-    return beta
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A discrete chain of two-level emitters coupled to one guided mode.
+    """A discrete chain of identical two-level emitters on one guided mode.
 
-    beta  : per-atom ratio of the guided-mode emission rate to the total
-            rate Gamma0, each in (0, 0.5]; 0.5 means fully waveguide
+    beta  : ratio of each atom's guided-mode emission rate to the total rate
+            Gamma0, one number in (0, 0.5]; 0.5 means fully waveguide
             coupled (one half per propagation direction).
-    phase : theta_n = 2 k x_n mod 2pi.  Only the bidirectional model reads
-            it; the forward cascade is position independent.
-    shift : optional per-atom resonance offset in Gamma0 (inhomogeneous
-            broadening knob), zero by default.
+    phase : theta_n = 2 k x_n mod 2pi, one per atom.  Only the bidirectional
+            model reads it; the forward cascade is position independent.
     """
 
-    beta: np.ndarray
+    beta: float
     phase: np.ndarray
-    shift: np.ndarray
 
     def __post_init__(self):
-        beta = _as_beta_array(self.beta)
-        phase = np.atleast_1d(np.asarray(self.phase, dtype=float))
-        shift = np.atleast_1d(np.asarray(self.shift, dtype=float))
-        if beta.size < 1:
-            raise ValueError("ensemble needs at least one atom")
-        if phase.size == 1 and beta.size > 1:
-            phase = np.full(beta.size, phase[0])
-        if shift.size == 1 and beta.size > 1:
-            shift = np.full(beta.size, shift[0])
-        if not (beta.size == phase.size == shift.size):
-            raise ValueError(
-                f"beta/phase/shift lengths differ: {beta.size}, {phase.size}, {shift.size}"
-            )
-        phase = np.mod(phase, 2.0 * math.pi)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "shift", shift)
+        if np.ndim(self.beta) != 0 or not 0.0 < self.beta <= 0.5:
+            raise ValueError(f"coupling ratio beta must be one number in (0, 0.5], "
+                             f"got {self.beta!r}")
+        phase = np.asarray(self.phase, dtype=float)
+        if phase.ndim != 1 or phase.size < 1:
+            raise ValueError("phase must hold one value per atom, at least one atom")
+        if not np.all(np.isfinite(phase)):
+            raise ValueError("phase must be finite")
+        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "phase", np.mod(phase, 2.0 * math.pi))
 
     @property
     def n_atoms(self) -> int:
-        return self.beta.size
+        return self.phase.size
 
     @classmethod
     def uniform(cls, n_atoms, beta=BETA_DEFAULT):
-        """Ensemble of n_atoms identical emitters at zero phase and shift."""
+        """Ensemble of n_atoms identical emitters at zero phase."""
         n_atoms = int(n_atoms)
         if n_atoms < 1:
             raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
-        return cls(beta=np.full(n_atoms, float(beta)), phase=np.zeros(n_atoms),
-                   shift=np.zeros(n_atoms))
+        return cls(beta=beta, phase=np.zeros(n_atoms))
 
     @classmethod
     def from_od(cls, od, beta=BETA_DEFAULT):
@@ -118,7 +98,7 @@ def single_atom_coefficients(delta, beta=BETA_DEFAULT):
     detunings.
     """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0.0) or np.any(beta > 0.5):
+    if not np.all((beta > 0.0) & (beta <= 0.5)):
         raise ValueError("coupling ratio beta must lie in (0, 0.5]")
     r = -beta / (0.5 + 1j * np.asarray(delta, dtype=float))
     return 1.0 + r, r
@@ -133,8 +113,8 @@ def od_to_atom_number(od, beta=BETA_DEFAULT) -> int:
     """
     od = float(od)
     beta = float(beta)
-    if od < 0:
-        raise ValueError(f"optical depth must be non-negative, got {od}")
+    if not 0.0 <= od < math.inf:
+        raise ValueError(f"optical depth od must be finite and non-negative, got {od}")
     if not 0.0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 0.5) for the OD calibration")
     return int(round(-od / (2.0 * math.log1p(-2.0 * beta))))

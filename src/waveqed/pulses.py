@@ -71,8 +71,11 @@ class PulseWaveform:
         envelope = np.asarray(self.envelope, dtype=complex)
         if envelope.shape != t.shape:
             raise ValueError("time grid and envelope must have matching shapes")
-        if self.photon_number < 0:
-            raise ValueError("photon_number must be non-negative")
+        if not 0 <= self.photon_number < math.inf:
+            raise ValueError(f"photon_number must be finite and non-negative, "
+                             f"got {self.photon_number}")
+        if not math.isfinite(self.carrier_detuning):
+            raise ValueError(f"carrier_detuning must be finite, got {self.carrier_detuning}")
         dt = t[1] - t[0]
         energy = float(np.sum(np.abs(envelope) ** 2) * dt)
         if abs(energy - self.photon_number) > 1e-9 * max(self.photon_number, 1e-300):
@@ -142,9 +145,9 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
     t = _validate_grid(t_grid, name="time grid")
     duration = float(duration)
     rise_fall = float(rise_fall)
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    if rise_fall < 0:
+    if not rise_fall >= 0:
         raise ValueError(f"rise_fall must be non-negative, got {rise_fall}")
     if rise_fall >= duration:
         raise ValueError(f"rise_fall {rise_fall} must be shorter than duration {duration}")
@@ -275,12 +278,10 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     a probability for the pulse photon number (linear regime).
 
     The stored energy obeys the cascade's input-output balance
-    dE/dt = P_in - P_out - sum_n (1 - beta_n) p_n (Gardiner 1993;
-    Carmichael 1993), the per-atom balances telescoped, so gamma_coll =
-    -dE/dt / E is exact for any beta.  For uniform beta the loss term is
-    (1 - beta) E and E is one FFT solve of the balance, so no per-atom
-    transform runs unless a trace is asked for; otherwise E and the loss
-    are summed over all N per-atom traces.
+    dE/dt = P_in - P_out - (1 - beta) E (Gardiner 1993; Carmichael 1993),
+    the per-atom balances telescoped, so gamma_coll = -dE/dt / E is exact
+    and E is one FFT solve of the balance: no per-atom transform runs
+    unless a trace is asked for.
 
     trace_atoms selects which atoms to store (0-based; None = all, () =
     none); trace_stride subsamples the stored traces in time.
@@ -303,26 +304,14 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
 
     response = np.fft.ifftshift(transfer_unidirectional(pulse.detunings(), ensemble).amplitude)
     flux = pulse.power() - np.abs(np.fft.ifft(spectrum * response)) ** 2
-    if np.ptp(ensemble.beta) == 0.0:
-        beta = float(ensemble.beta[0])
-        energy = np.fft.ifft(np.fft.fft(flux) / (1j * omega + 1.0 - beta)).real
-        loss = (1.0 - beta) * energy
-        # range first, so the generator stops after the last requested atom
-        for n, phi in zip(range(selected[-1] + 1 if selected.size else 0),
-                          _cascade_amplitudes(delta, ensemble)):
-            if n in keep:
-                traces[keep[n]] = _strided_power(spectrum * phi, stride)
-    else:
-        energy = np.zeros(pulse.t.size)
-        loss = np.zeros(pulse.t.size)
-        for n, (phi, beta_n) in enumerate(zip(_cascade_amplitudes(delta, ensemble),
-                                              ensemble.beta)):
-            p_n = np.abs(np.fft.ifft(spectrum * phi)) ** 2
-            energy += p_n
-            loss += (1.0 - beta_n) * p_n
-            if n in keep:
-                traces[keep[n]] = p_n[::stride]
-    de_dt = flux - loss
+    loss_rate = 1.0 - ensemble.beta
+    energy = np.fft.ifft(np.fft.fft(flux) / (1j * omega + loss_rate)).real
+    # range first, so the generator stops after the last requested atom
+    for n, phi in zip(range(selected[-1] + 1 if selected.size else 0),
+                      _cascade_amplitudes(delta, ensemble)):
+        if n in keep:
+            traces[keep[n]] = _strided_power(spectrum * phi, stride)
+    de_dt = flux - loss_rate * energy
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))
     gamma = np.full(pulse.t.size, np.nan)
     gamma[valid] = -de_dt[valid] / energy[valid]

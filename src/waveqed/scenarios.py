@@ -415,7 +415,7 @@ def _run_fig5(config: ScenarioConfig) -> dict:
     ring = ring_multipass(pulse, _ensemble(config), cavity, config.roundtrips, start,
                           _ns(config, config.settle_ns))
     rt_col = [float(m) for m in range(1, config.roundtrips + 1)]
-    sel = np.arange(0, ring.shift, config.time_stride)
+    sel = np.arange(0, ring.period, config.time_stride)
 
     def overlay(segments):
         return np.concatenate([seg[sel] / seg.max() for seg in segments])

@@ -87,48 +87,37 @@ class TransferSpectrum:
 def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
     """Forward amplitude transmission of the cascade.
 
-    t_N(delta) = prod_j (1 - beta_j / (1/2 + i (delta - shift_j)))
+    t_N(delta) = (1 - beta / (1/2 + i delta))^N
 
-    Independent of the positional phases.  For a uniform ensemble the
-    product collapses to a single power.
+    Independent of the positional phases.
     """
     delta = _validate_grid(delta)
-    beta, shift = ensemble.beta, ensemble.shift
-    if np.ptp(beta) == 0.0 and np.ptp(shift) == 0.0:
-        amp = single_atom_coefficients(delta - shift[0], beta[0])[0] ** ensemble.n_atoms
-    else:
-        amp = np.ones(delta.size, dtype=complex)
-        for b, s in zip(beta, shift):
-            amp *= single_atom_coefficients(delta - s, b)[0]
-    return TransferSpectrum(delta, amp)
+    return TransferSpectrum(delta, single_atom_coefficients(delta, ensemble.beta)[0]
+                            ** ensemble.n_atoms)
 
 
 def _cascade_amplitudes(delta, ensemble: EnsembleSpec):
     """Yield each atom's cascade amplitude phi_n(delta), atom by atom.
 
-    phi_n = i (prod_{j<n} t_j) (t_n - 1) / sqrt(beta_n).  A caller that
-    consumes them one at a time never holds all N grid-sized rows at once.
-    t_n is evaluated once per run of atoms with the same (beta, shift).
+    phi_n = i t^(n-1) (t - 1) / sqrt(beta).  A caller that consumes them
+    one at a time never holds all N grid-sized rows at once.
     """
     prefix = np.ones(delta.size, dtype=complex)
-    atom = None
-    for b, s in zip(ensemble.beta, ensemble.shift):
-        if (b, s) != atom:
-            atom = (b, s)
-            t_n = single_atom_coefficients(delta - s, b)[0]
-            t_minus_1 = t_n - 1.0
-        yield 1j * prefix * t_minus_1 / math.sqrt(b)
-        prefix *= t_n
+    t = single_atom_coefficients(delta, ensemble.beta)[0]
+    t_minus_1 = t - 1.0
+    for _ in range(ensemble.n_atoms):
+        yield 1j * prefix * t_minus_1 / math.sqrt(ensemble.beta)
+        prefix *= t
 
 
 def excitation_amplitudes(delta, ensemble: EnsembleSpec):
     """Steady-state excitation amplitude of each atom in the forward cascade.
 
-    phi_n(delta) = i (prod_{j<n} t_j) (t_n - 1) / sqrt(beta_n)
+    phi_n(delta) = i t^(n-1) (t - 1) / sqrt(beta)
 
     normalized so that |phi_n|^2 maps an input photon flux onto an
     excited-state probability (see pulses.atom_dynamics).  Successive
-    amplitudes satisfy phi_{n+1}/phi_n = t for a uniform ensemble.
+    amplitudes satisfy phi_{n+1}/phi_n = t.
 
     Returns an array of shape (n_atoms,) for scalar detuning, otherwise
     (n_atoms, len(delta)).
@@ -150,9 +139,9 @@ _LONG_BLOCK, _LONG_BLOCK_MARGIN, _SHORT_BLOCK = 32, 1e-9, 16
 def _recursion(delta, ensemble, eps):
     """(grid, prod_n t_n, s_1) of the two-way recursion on a uniform grid.
 
-    Every atom is passive (beta_n <= 1/2), so the reflection carried from
+    Every atom is passive (beta <= 1/2), so the reflection carried from
     the far end keeps |s| <= 1 (to ~1e-12 in floating point) and every
-    denominator has Re den >= 1/2 - beta_n.  When 1/2 - max beta exceeds
+    denominator has Re den >= 1/2 - beta.  When 1/2 - beta exceeds
     2 max(eps, RECURSION_EPS) no point can be degenerate, and the
     division-free homogeneous recursion runs; otherwise (beta at or next
     to 1/2) the screened one counts the degenerate points and warns.
@@ -160,7 +149,7 @@ def _recursion(delta, ensemble, eps):
     # Any uniform increasing grid: only the FFT needs a power-of-two length,
     # so callers may evaluate one union grid for several pulse grids.
     delta = _uniform_grid(delta)
-    margin = 0.5 - float(np.max(ensemble.beta))
+    margin = 0.5 - ensemble.beta
     if margin > 2.0 * max(eps, RECURSION_EPS):
         block = _LONG_BLOCK if margin >= _LONG_BLOCK_MARGIN else _SHORT_BLOCK
         return (delta, *_homogeneous_recursion(delta, ensemble, block))
@@ -171,9 +160,8 @@ def _homogeneous_recursion(delta, ensemble, block):
     """(prod_n t_n, s_1) with the reflection carried as the pair s = x / y.
 
     Dividing the Moebius step s_n = ((num - beta) s - beta e) / (num + beta
-    + beta s / e), num = 1/2 - beta + i(delta - shift) and e = e^{i theta},
-    through by num gives, with a = beta / num (one array per run of atoms
-    with equal beta and shift),
+    + beta s / e), num = 1/2 - beta + i delta and e = e^{i theta}, through
+    by num gives, with a = beta / num (one array for the whole chain),
 
         p = a (x + e y),  x <- x - p,  y <- y + p / e,
 
@@ -185,12 +173,9 @@ def _homogeneous_recursion(delta, ensemble, block):
     y = np.ones(delta.size, dtype=complex)
     t_prod = np.ones(delta.size, dtype=complex)
     p = np.empty(delta.size, dtype=complex)
-    atom = None
+    beta = ensemble.beta
+    a = beta / ((0.5 - beta) + 1j * delta)
     for count, n in enumerate(range(ensemble.n_atoms - 1, -1, -1), start=1):
-        b, shift = ensemble.beta[n], ensemble.shift[n]
-        if (b, shift) != atom:
-            atom = (b, shift)
-            a = b / ((0.5 - b) + 1j * (delta - shift))
         e_plus = complex(np.exp(1j * ensemble.phase[n]))
         np.multiply(y, e_plus, out=p)
         p += x
@@ -217,12 +202,12 @@ def _screened_recursion(delta, ensemble, eps):
     t_prod = np.ones(delta.size, dtype=complex)
     degenerate = 0
     min_den = math.inf
+    b = ensemble.beta
     for n in range(ensemble.n_atoms - 1, -1, -1):
-        b = ensemble.beta[n]
         e_plus = complex(np.exp(1j * ensemble.phase[n]))
-        # ratio = (beta_n + beta_n s e^{-i theta}) / (1/2 + i(delta-shift) + ...)
+        # ratio = (beta + beta s e^{-i theta}) / (1/2 + i delta + ...)
         ratio = (b * e_plus.conjugate()) * s
-        den = ratio + base if ensemble.shift[n] == 0.0 else ratio + base - 1j * ensemble.shift[n]
+        den = ratio + base
         # |den| >= |Re den|, so a passing screen proves no point is degenerate;
         # only a failing one pays for the exact moduli.
         if eps > 0 and float(np.abs(den.real).min()) < eps:
@@ -255,8 +240,8 @@ def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
     Solving from the far end (open boundary, excitation from one side)
     down to the first atom:
 
-        t_n = 1 - (beta_n + beta_n s_{n+1} e^{-i theta_n})
-                  / (1/2 + i delta + beta_n s_{n+1} e^{-i theta_n})
+        t_n = 1 - (beta + beta s_{n+1} e^{-i theta_n})
+                  / (1/2 + i delta + beta s_{n+1} e^{-i theta_n})
         s_n = (t_n - 1) e^{i theta_n} + s_{n+1} t_n
 
     with theta_n the stored positional phase.  Returns the pair
@@ -287,10 +272,12 @@ class CavitySpec:
     def __post_init__(self):
         if not 0.0 < self.t_rt <= 1.0:
             raise ValueError(f"t_rt must lie in (0, 1], got {self.t_rt}")
-        if abs(self.t_c) > 1.0 + 1e-12:
+        if not abs(self.t_c) <= 1.0 + 1e-12:
             raise ValueError(f"|t_c| must not exceed 1, got {abs(self.t_c)}")
-        if not self.tau_rt > 0:
-            raise ValueError(f"tau_rt must be positive, got {self.tau_rt}")
+        if not 0 < self.tau_rt < math.inf:
+            raise ValueError(f"tau_rt must be finite and positive, got {self.tau_rt}")
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"phi0 must be finite, got {self.phi0}")
 
 
 def transfer_cavity(t_medium: TransferSpectrum, cavity: CavitySpec) -> TransferSpectrum:

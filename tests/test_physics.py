@@ -1,15 +1,19 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from waveqed import (
+    CavitySpec,
     EnsembleSpec,
     Units,
     od_to_atom_number,
     resonant_od,
     single_atom_coefficients,
+    synthesize_pulse,
+    time_grid,
 )
 
 
@@ -109,24 +113,60 @@ class TestEnsembleSpec:
     def test_uniform_constructor(self):
         ens = EnsembleSpec.uniform(5, beta=0.01)
         assert ens.n_atoms == 5
-        assert np.all(ens.beta == 0.01)
+        assert ens.beta == 0.01
         assert np.array_equal(ens.phase, np.zeros(5))
-        assert np.array_equal(ens.shift, np.zeros(5))
 
     def test_from_od(self):
         ens = EnsembleSpec.from_od(19.3)
         assert ens.n_atoms == 872
 
     def test_phases_wrapped(self):
-        ens = EnsembleSpec(beta=[0.01, 0.01], phase=[7.0, -1.0], shift=[0.0, 0.0])
+        ens = EnsembleSpec(beta=0.01, phase=[7.0, -1.0])
         assert np.all((ens.phase >= 0) & (ens.phase < 2 * math.pi))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(beta=[0.01, 0.01], phase=[0.0, 0.0, 0.0], shift=[0.0, 0.0])
+    @pytest.mark.parametrize("beta", [[0.01, 0.01], np.full(2, 0.01), [0.01]])
+    def test_beta_sequence_rejected(self, beta):
+        # one coupling per ensemble: a per-atom array is an error, not broadcast
+        with pytest.raises(ValueError, match="beta must be one number"):
+            EnsembleSpec(beta=beta, phase=[0.0, 0.0])
 
     def test_beta_range_enforced(self):
         with pytest.raises(ValueError):
             EnsembleSpec.uniform(3, beta=0.6)
         with pytest.raises(ValueError):
             EnsembleSpec.uniform(0)
+
+
+def _pulse(duration=3.0, rise_fall=0.2):
+    return synthesize_pulse(time_grid(256.0, 2 ** 12), duration, rise_fall, start=2.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("name, build", [
+    pytest.param("beta", lambda: EnsembleSpec.uniform(3, NAN), id="ensemble-beta-nan"),
+    pytest.param("phase", lambda: replace(EnsembleSpec.uniform(2, 0.01),
+                                          phase=np.array([0.0, NAN])), id="phase-nan"),
+    pytest.param("phase", lambda: replace(EnsembleSpec.uniform(2, 0.01),
+                                          phase=np.array([math.inf, 0.0])), id="phase-inf"),
+    pytest.param("beta", lambda: single_atom_coefficients(0.0, NAN), id="single-atom-beta-nan"),
+    pytest.param("t_c", lambda: CavitySpec(t_rt=0.9, t_c=NAN, tau_rt=1.0), id="t_c-nan"),
+    pytest.param("phi0", lambda: CavitySpec(t_rt=0.9, t_c=0.5, tau_rt=1.0, phi0=NAN),
+                 id="phi0-nan"),
+    pytest.param("tau_rt", lambda: CavitySpec(t_rt=0.9, t_c=0.5, tau_rt=math.inf),
+                 id="tau_rt-inf"),
+    pytest.param("photon_number", lambda: replace(_pulse(), photon_number=NAN),
+                 id="photon_number-nan"),
+    pytest.param("photon_number", lambda: replace(_pulse(), photon_number=math.inf),
+                 id="photon_number-inf"),
+    pytest.param("carrier_detuning", lambda: replace(_pulse(), carrier_detuning=NAN),
+                 id="carrier-nan"),
+    pytest.param("duration", lambda: _pulse(duration=NAN), id="duration-nan"),
+    pytest.param("rise_fall", lambda: _pulse(rise_fall=NAN), id="rise_fall-nan"),
+    pytest.param("optical depth od", lambda: od_to_atom_number(math.inf), id="od-inf"),
+    pytest.param("optical depth od", lambda: od_to_atom_number(NAN), id="od-nan"),
+])
+def test_nan_and_inf_rejected_naming_the_parameter(name, build):
+    with pytest.raises(ValueError, match=name):
+        build()

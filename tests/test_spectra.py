@@ -25,11 +25,12 @@ from oracles import linear_system_solution, transfer_matrix_solution
 
 
 def random_ensemble(rng, n, beta_max=0.35):
-    return EnsembleSpec(
-        beta=rng.uniform(0.01, beta_max, n),
-        phase=rng.uniform(0.0, 2 * math.pi, n),
-        shift=np.zeros(n),
-    )
+    return EnsembleSpec(beta=rng.uniform(0.01, beta_max), phase=rng.uniform(0.0, 2 * math.pi, n))
+
+
+def per_atom_beta(ens):
+    """The ensemble's coupling as the per-atom array the oracles take."""
+    return np.full(ens.n_atoms, ens.beta)
 
 
 def assert_spectra_match(value, reference, rtol=1e-10, scale_floor=1e-3):
@@ -87,23 +88,8 @@ class TestUnidirectional:
         rng = np.random.default_rng(3)
         a = transfer_unidirectional(g, EnsembleSpec.uniform(20, 0.01))
         b = transfer_unidirectional(
-            g, EnsembleSpec(beta=np.full(20, 0.01), phase=rng.uniform(0, 6, 20), shift=np.zeros(20)))
+            g, EnsembleSpec(beta=0.01, phase=rng.uniform(0, 6, 20)))
         assert np.array_equal(a.amplitude, b.amplitude)
-
-    def test_order_reversal_invariant(self):
-        g = detuning_grid(16.0, 64)
-        rng = np.random.default_rng(4)
-        beta = rng.uniform(0.01, 0.3, 9)
-        fwd = transfer_unidirectional(g, EnsembleSpec(beta=beta, phase=np.zeros(9), shift=np.zeros(9)))
-        rev = transfer_unidirectional(g, EnsembleSpec(beta=beta[::-1], phase=np.zeros(9), shift=np.zeros(9)))
-        assert np.allclose(fwd.amplitude, rev.amplitude, rtol=1e-12)
-
-    def test_per_atom_shift_moves_resonance(self):
-        g = detuning_grid(16.0, 256)
-        shifted = transfer_unidirectional(
-            g, EnsembleSpec(beta=[0.1], phase=[0.0], shift=[3.0]))
-        dip = g[np.argmin(np.abs(shifted.amplitude))]
-        assert dip == pytest.approx(3.0, abs=g[1] - g[0])
 
 
 class TestExcitationAmplitudes:
@@ -136,7 +122,7 @@ class TestBidirectional:
     def test_single_atom_reduction(self):
         g = detuning_grid(16.0, 64)
         for theta in (0.0, 1.1, 4.0):
-            ens = EnsembleSpec(beta=[0.0055], phase=[theta], shift=[0.0])
+            ens = EnsembleSpec(beta=0.0055, phase=[theta])
             t_spec, r_spec = transfer_bidirectional(g, ens)
             t, r = single_atom_coefficients(g, 0.0055)
             assert np.allclose(t_spec.amplitude, t, rtol=1e-13)
@@ -149,7 +135,7 @@ class TestBidirectional:
             n = int(rng.integers(1, 13))
             ens = random_ensemble(rng, n)
             t_spec, r_spec = transfer_bidirectional(g, ens)
-            t_ref, r_ref = transfer_matrix_solution(g, ens.beta, ens.phase)
+            t_ref, r_ref = transfer_matrix_solution(g, per_atom_beta(ens), ens.phase)
             assert_spectra_match(t_spec.amplitude, t_ref)
             assert_spectra_match(r_spec.amplitude, r_ref)
 
@@ -163,7 +149,7 @@ class TestBidirectional:
             n = int(rng.integers(1, 13))
             ens = random_ensemble(rng, n, beta_max=0.5)
             t_spec, r_spec = transfer_bidirectional(g, ens)
-            t_ref, r_ref = transfer_matrix_solution(g, ens.beta, ens.phase)
+            t_ref, r_ref = transfer_matrix_solution(g, per_atom_beta(ens), ens.phase)
             assert np.max(np.abs(t_spec.amplitude - t_ref)) < 1e-12
             assert np.max(np.abs(r_spec.amplitude - r_ref)) < 1e-12
 
@@ -174,7 +160,7 @@ class TestBidirectional:
             for delta in (-4.3, 0.0, 2.7):
                 g = detuning_grid(abs(delta) + 1.0, 2)
                 t_spec, r_spec = transfer_bidirectional(np.array([delta, delta + 1.0]), ens)
-                t_ref, r_ref = linear_system_solution(delta, ens.beta, ens.phase)
+                t_ref, r_ref = linear_system_solution(delta, per_atom_beta(ens), ens.phase)
                 assert abs(t_spec.amplitude[0] - t_ref) < 1e-12
                 assert abs(r_spec.amplitude[0] - r_ref) < 1e-12
 
@@ -183,7 +169,7 @@ class TestBidirectional:
         ens = EnsembleSpec.uniform(n, 0.0055)
         g = detuning_grid(2.0, 64)
         t_spec, r_spec = transfer_bidirectional(g, ens)
-        t_ref, r_ref = transfer_matrix_solution(g, ens.beta, ens.phase)
+        t_ref, r_ref = transfer_matrix_solution(g, per_atom_beta(ens), ens.phase)
         assert np.max(np.abs(r_spec.amplitude - r_ref)) < 1e-10
         i0 = np.argmin(np.abs(g))
         _, r1 = single_atom_coefficients(0.0, 0.0055)
@@ -194,7 +180,7 @@ class TestBidirectional:
         g = detuning_grid(10.0, 128)
         ens = random_ensemble(rng, 15)
         t_a, r_a = transfer_bidirectional(g, ens)
-        shifted = EnsembleSpec(beta=ens.beta, phase=ens.phase + 1.234, shift=ens.shift)
+        shifted = EnsembleSpec(beta=ens.beta, phase=ens.phase + 1.234)
         t_b, r_b = transfer_bidirectional(g, shifted)
         assert np.allclose(t_a.amplitude, t_b.amplitude, rtol=1e-12)
         assert np.allclose(np.abs(r_a.amplitude), np.abs(r_b.amplitude), rtol=1e-12)
@@ -244,7 +230,7 @@ class TestHomogeneousRecursion:
         calls = []
         screened = spectra._screened_recursion
         monkeypatch.setattr(spectra, "_screened_recursion",
-                            lambda *args: calls.append(args[1].beta[0]) or screened(*args))
+                            lambda *args: calls.append(args[1].beta) or screened(*args))
         g = detuning_grid(4.0, 64)
         with warnings.catch_warnings(), np.errstate(invalid="ignore", divide="ignore"):
             warnings.simplefilter("ignore", DegenerateDenominatorWarning)
@@ -253,22 +239,20 @@ class TestHomogeneousRecursion:
         assert calls == [0.5 - 1e-12, 0.5]
 
     def test_matches_transfer_matrix_on_random_chains(self):
-        # up to 130 atoms, so four or more rescaled blocks of 32, and random
-        # per-atom shifts, so a_n changes from atom to atom
+        # up to 130 atoms, so four or more rescaled blocks of 32
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         grid = np.linspace(-19.5, 19.5, 64)
-        chain = st.integers(1, 130).flatmap(lambda n: st.tuples(*(
-            st.lists(values, min_size=n, max_size=n)
-            for values in (st.floats(0.001, 0.49), st.floats(0.0, 2 * math.pi),
-                           st.floats(-20.0, 20.0)))))
+        chain = st.integers(1, 130).flatmap(lambda n: st.tuples(
+            st.floats(0.001, 0.49),
+            st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)))
         sizes = []
 
         def law(params):
-            beta, phase, shift = map(np.array, params)
-            sizes.append(beta.size)
-            _, t_prod, s = _recursion(grid, EnsembleSpec(beta, phase, shift), RECURSION_EPS)
-            t_ref, s_ref = transfer_matrix_solution(grid, beta, phase, shift)
+            beta, phase = params[0], np.array(params[1])
+            sizes.append(phase.size)
+            _, t_prod, s = _recursion(grid, EnsembleSpec(beta, phase), RECURSION_EPS)
+            t_ref, s_ref = transfer_matrix_solution(grid, np.full(phase.size, beta), phase)
             assert np.max(np.abs(t_prod - t_ref)) <= 1e-12
             assert np.max(np.abs(s - s_ref)) <= 1e-12
 
@@ -283,7 +267,7 @@ class TestHomogeneousRecursion:
         # within a few dozen atoms unless every block is rescaled
         rng = np.random.default_rng(5)
         n = 2000
-        ens = EnsembleSpec(np.full(n, 0.5 - margin), rng.uniform(0.0, 2 * math.pi, n), 0.0)
+        ens = EnsembleSpec(0.5 - margin, rng.uniform(0.0, 2 * math.pi, n))
         g = detuning_grid(64.0, 4096)
         _, t_prod, s = _recursion(g, ens, RECURSION_EPS)
         assert np.all(np.isfinite(t_prod)) and np.all(np.isfinite(s))
@@ -359,11 +343,11 @@ def for_random_chains(law):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     chain = st.integers(1, 40).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(0.005, 0.45), min_size=n, max_size=n),
+        st.floats(0.005, 0.45),
         st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)))
     settings = hypothesis.settings(derandomize=True, max_examples=50, deadline=None,
                                    database=None)
-    settings(hypothesis.given(chain))(lambda c: law(np.array(c[0]), np.array(c[1])))()
+    settings(hypothesis.given(chain))(lambda c: law(c[0], np.array(c[1])))()
 
 
 class TestRandomChainLaws:
@@ -375,16 +359,15 @@ class TestRandomChainLaws:
         # the mirrored chain sits at x' = L - x, so theta' = -theta up to a
         # global phase, which leaves the transmission unchanged
         def law(beta, phase):
-            forward, _ = transfer_bidirectional(self.GRID, EnsembleSpec(beta, phase, 0.0))
-            mirrored, _ = transfer_bidirectional(
-                self.GRID, EnsembleSpec(beta[::-1], (-phase)[::-1], 0.0))
+            forward, _ = transfer_bidirectional(self.GRID, EnsembleSpec(beta, phase))
+            mirrored, _ = transfer_bidirectional(self.GRID, EnsembleSpec(beta, (-phase)[::-1]))
             assert np.max(np.abs(mirrored.amplitude - forward.amplitude)) <= 1e-12
 
         for_random_chains(law)
 
     def test_passivity(self):
         def law(beta, phase):
-            t_spec, r_spec = transfer_bidirectional(self.GRID, EnsembleSpec(beta, phase, 0.0))
+            t_spec, r_spec = transfer_bidirectional(self.GRID, EnsembleSpec(beta, phase))
             assert np.max(t_spec.power() + r_spec.power()) <= 1.0 + 1e-12
 
         for_random_chains(law)
@@ -392,18 +375,16 @@ class TestRandomChainLaws:
     def test_reflection_certificate(self):
         # each atom with beta <= 1/2 is passive, so the far-end reflection
         # the recursion carries stays in the unit disc at every step, with
-        # any phases and resonance shifts; the screen in _recursion relies on it
+        # any phases; the screen in _recursion relies on it
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        chain = st.integers(1, 30).flatmap(lambda n: st.tuples(*(
-            st.lists(values, min_size=n, max_size=n)
-            for values in (st.floats(0.001, 0.5), st.floats(0.0, 2 * math.pi),
-                           st.floats(-20.0, 20.0)))))
+        chain = st.integers(1, 30).flatmap(lambda n: st.tuples(
+            st.floats(0.001, 0.5),
+            st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)))
 
         def law(params):
-            beta, phase, shift = map(np.array, params)
-            _, t_prod, s = _recursion(self.GRID, EnsembleSpec(beta, phase, shift),
-                                      RECURSION_EPS)
+            beta, phase = params[0], np.array(params[1])
+            _, t_prod, s = _recursion(self.GRID, EnsembleSpec(beta, phase), RECURSION_EPS)
             assert np.max(np.abs(s)) <= 1.0 + 1e-12
             assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
 
