@@ -28,8 +28,8 @@ class Units:
     gamma0_hz: float = GAMMA0_HZ
 
     def __post_init__(self):
-        if not self.gamma0_hz > 0:
-            raise ValueError(f"gamma0_hz must be positive, got {self.gamma0_hz}")
+        if not 0 < self.gamma0_hz < math.inf:
+            raise ValueError(f"gamma0_hz must be finite and positive, got {self.gamma0_hz}")
 
     @property
     def gamma0_rad_per_s(self) -> float:

@@ -48,6 +48,8 @@ def time_grid(span, n):
     """
     if not _is_power_of_two(int(n)):
         raise ValueError(f"grid length must be a power of two, got {n}")
+    if not 0 < float(span) < math.inf:
+        raise ValueError(f"span must be finite and positive, got {span}")
     return np.arange(int(n)) * (math.pi / float(span))
 
 

@@ -58,6 +58,8 @@ def detuning_grid(span, n):
     if not _is_power_of_two(int(n)):
         raise ValueError(f"grid length must be a power of two, got {n}")
     n = int(n)
+    if not 0 < float(span) < math.inf:
+        raise ValueError(f"span must be finite and positive, got {span}")
     step = 2.0 * float(span) / n
     return (np.arange(n) - n // 2) * step
 

@@ -9,6 +9,7 @@ from waveqed import (
     CavitySpec,
     EnsembleSpec,
     Units,
+    detuning_grid,
     od_to_atom_number,
     resonant_od,
     single_atom_coefficients,
@@ -166,6 +167,9 @@ NAN = float("nan")
     pytest.param("rise_fall", lambda: _pulse(rise_fall=NAN), id="rise_fall-nan"),
     pytest.param("optical depth od", lambda: od_to_atom_number(math.inf), id="od-inf"),
     pytest.param("optical depth od", lambda: od_to_atom_number(NAN), id="od-nan"),
+    pytest.param("gamma0_hz", lambda: Units(gamma0_hz=math.inf), id="gamma0_hz-inf"),
+    pytest.param("span", lambda: detuning_grid(math.inf, 8), id="detuning-span-inf"),
+    pytest.param("span", lambda: time_grid(NAN, 8), id="time-span-nan"),
 ])
 def test_nan_and_inf_rejected_naming_the_parameter(name, build):
     with pytest.raises(ValueError, match=name):
