@@ -17,12 +17,18 @@ from scipy.signal import find_peaks
 
 from .disorder import DisorderModel, average_observable
 from .physics import EnsembleSpec, Units
-from .pulses import atom_dynamics, collective_rate_at_switchoff, propagate_pulse
+from .pulses import (
+    _check_grid,
+    _propagate,
+    atom_dynamics,
+    collective_rate_at_switchoff,
+    propagate_pulse,
+)
 from .spectra import (
     RECURSION_EPS,
     TransferSpectrum,
+    _check_passive,
     _recursion,
-    transfer_bidirectional,
     transfer_unidirectional,
 )
 
@@ -198,7 +204,9 @@ def _directional_powers(pulses):
 
     Each configuration costs one two-way recursion per union grid of
     _shared_grids; every pulse then reads its G-point slice of the
-    transmission and reflection.
+    transmission and reflection.  Each slice is checked against its
+    pulse's grid once, here, and each configuration's response for
+    passivity once per union grid.
     """
     groups = _shared_grids(pulses)
     n = pulses[0].t.size
@@ -206,16 +214,20 @@ def _directional_powers(pulses):
     # the arrays it keeps sit below the configurations' temporaries on the heap
     for pulse in pulses:
         _ = pulse.spectrum, pulse.detunings()
+    for grid, members in groups:
+        for i, start in members:
+            _check_grid(pulses[i], grid[start:start + n])
 
     def observable(ens):
         out = np.empty((len(pulses), 2, n))
         for grid, members in groups:
             _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+            _check_passive(t_prod)
+            _check_passive(s)
             for i, start in members:
                 window = slice(start, start + n)
                 for row, amplitude in enumerate((t_prod, s)):
-                    medium = TransferSpectrum(grid[window], amplitude[window])
-                    out[i, row] = propagate_pulse(pulses[i], medium).power()
+                    out[i, row] = np.abs(_propagate(pulses[i], amplitude[window])) ** 2
         return out
 
     return observable
@@ -265,8 +277,10 @@ def disorder_averaged_forward(pulse, n_atoms, beta, n_configs, seed, n_workers=1
     model = DisorderModel(n_atoms=n_atoms, beta_mean=beta, seed=seed)
 
     def forward_power(sample):
-        t_spec, _ = transfer_bidirectional(delta, sample)
-        return propagate_pulse(pulse, t_spec).power()
+        # on the pulse's own grid: only passivity is left to check
+        _, t_prod, _ = _recursion(delta, sample, RECURSION_EPS)
+        _check_passive(t_prod)
+        return np.abs(_propagate(pulse, t_prod)) ** 2
 
     mean, stderr = average_observable(model, n_configs, forward_power, n_workers=n_workers)
     return cascade, mean, stderr

@@ -221,20 +221,33 @@ def propagate_pulse(pulse: PulseWaveform, medium: TransferSpectrum) -> PulseWave
     ``pulse.detunings()``.  The operation is linear and grid-exact: scaling
     the input scales the output, and circular time shifts commute with it.
     """
-    expected = pulse.detunings()
-    if medium.delta.shape != expected.shape or not np.allclose(
-        medium.delta, expected, rtol=0.0, atol=1e-9 * (abs(expected[0]) + abs(expected[-1]) + 1.0)
-    ):
-        raise ValueError(
-            "grid mismatch: medium must be sampled on pulse.detunings() "
-            f"(medium spans [{medium.delta[0]:.6g}, {medium.delta[-1]:.6g}], "
-            f"pulse expects [{expected[0]:.6g}, {expected[-1]:.6g}])"
-        )
-    response = np.fft.ifftshift(medium.amplitude)
-    out = np.fft.ifft(pulse.spectrum * response)
+    _check_grid(pulse, medium.delta)
+    out = _propagate(pulse, medium.amplitude)
     energy = float(np.sum(np.abs(out) ** 2) * pulse.dt)
     return PulseWaveform(pulse.t, out, pulse.carrier_detuning, energy,
                          switch_off=pulse.switch_off)
+
+
+def _check_grid(pulse: PulseWaveform, delta):
+    """Raise unless delta is pulse.detunings() to 1e-9 of the grid's extent."""
+    expected = pulse.detunings()
+    if delta.shape != expected.shape or not np.allclose(
+        delta, expected, rtol=0.0, atol=1e-9 * (abs(expected[0]) + abs(expected[-1]) + 1.0)
+    ):
+        raise ValueError(
+            "grid mismatch: medium must be sampled on pulse.detunings() "
+            f"(medium spans [{delta[0]:.6g}, {delta[-1]:.6g}], "
+            f"pulse expects [{expected[0]:.6g}, {expected[-1]:.6g}])"
+        )
+
+
+def _propagate(pulse: PulseWaveform, amplitude):
+    """The output field of propagate_pulse, unchecked: amplitude must be
+    sampled on pulse.detunings() (_check_grid) and passive."""
+    # a named response: numpy would multiply into an unnamed temporary in
+    # place, by another loop that rounds the last bit differently
+    response = np.fft.ifftshift(amplitude)
+    return np.fft.ifft(pulse.spectrum * response)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from waveqed import (
     transfer_unidirectional,
 )
 from waveqed import fitting
+from waveqed.disorder import sample_configuration
 from waveqed.fitting import FLASH_WINDOW, SETTLE_DELAY
 
 UNITS = Units()
@@ -141,8 +142,8 @@ SMALL_ATOMS = 40
 SMALL_GRID = {"span": 256.0, "grid_points": 2 ** 12, "duration": 3.0, "rise_fall": 0.2}
 
 
-def small_pulses(carriers):
-    t = time_grid(SMALL_GRID["span"], SMALL_GRID["grid_points"])
+def small_pulses(carriers, grid_points=SMALL_GRID["grid_points"]):
+    t = time_grid(SMALL_GRID["span"], grid_points)
     return [synthesize_pulse(t, SMALL_GRID["duration"], SMALL_GRID["rise_fall"],
                              carrier_detuning=c) for c in carriers]
 
@@ -198,6 +199,28 @@ class TestSharedGridSweep:
         rates = np.array([[r.forward.rate, r.backward.rate] for r in sweep])
         assert np.all(np.abs(rates / ref_rates - 1.0) <= 1e-12)
         assert [r.detuning for r in sweep] == list(carriers)
+
+    def test_powers_bitwise_equal_to_propagate_pulse(self):
+        # the pipeline's unchecked propagation rounds exactly as the public
+        # one; at 2^15 points numpy multiplies into an unnamed temporary with
+        # the operands swapped, so an expression written otherwise would not
+        n = 2 ** 15
+        pulses = small_pulses((0.5, 1.5, -0.25), n)
+        ens = sample_configuration(DisorderModel(SMALL_ATOMS, SMALL_BETA, seed=3), 0)
+        powers = fitting._directional_powers(pulses)(ens)
+        (grid, members), = fitting._shared_grids(pulses)
+        _, t_prod, s = fitting._recursion(grid, ens, fitting.RECURSION_EPS)
+        for i, start in members:
+            for row, amplitude in enumerate((t_prod, s)):
+                medium = TransferSpectrum(grid[start:start + n], amplitude[start:start + n])
+                assert np.array_equal(powers[i, row], propagate_pulse(pulses[i], medium).power())
+
+    def test_forward_average_bitwise_equal_to_propagate_pulse(self):
+        pulse, = small_pulses((0.5,), 2 ** 15)
+        _, mean, _ = fitting.disorder_averaged_forward(pulse, SMALL_ATOMS, SMALL_BETA, 1, seed=3)
+        ens = sample_configuration(DisorderModel(SMALL_ATOMS, SMALL_BETA, seed=3), 0)
+        t_spec, _ = transfer_bidirectional(pulse.detunings(), ens)
+        assert np.array_equal(mean, propagate_pulse(pulse, t_spec).power())
 
     def test_union_grid_spans_the_group(self):
         pulses = small_pulses((0.5, 1.5, -0.25))

@@ -12,6 +12,7 @@ from waveqed import (
     TransferSpectrum,
     detuning_grid,
     excitation_amplitudes,
+    od_to_atom_number,
     single_atom_coefficients,
     transfer_bidirectional,
     transfer_cavity,
@@ -19,7 +20,15 @@ from waveqed import (
 )
 from waveqed import fitting, scenarios, spectra
 from waveqed.disorder import DisorderModel, sample_configuration
-from waveqed.spectra import RECURSION_EPS, _recursion, _screened_recursion
+from waveqed.spectra import (
+    RECURSION_EPS,
+    _certified_polynomial,
+    _homogeneous_recursion,
+    _polynomial_coefficients,
+    _recursion,
+    _screened_recursion,
+    _truncation_degree,
+)
 
 from oracles import linear_system_solution, transfer_matrix_solution
 
@@ -210,16 +219,25 @@ class TestBidirectional:
         assert [w.filename for w in record] == [__file__]
 
 
+def default_configuration(scenario, index=0):
+    """A scenario's recursion grid at its defaults (fig4: the union grid of
+    its carriers) and disorder configuration number index."""
+    config = scenarios.config_from_dict({"scenario": scenario})
+    pulse = scenarios._pulse(config, config.detuning if scenario == "s1" else 0.0)
+    if scenario == "fig4":
+        (grid, _), = fitting._shared_grids([pulse.at_carrier(c) for c in config.detunings])
+    else:
+        grid = pulse.detunings()
+    model = DisorderModel(n_atoms=scenarios._ensemble(config).n_atoms,
+                          beta_mean=config.beta, seed=config.seed)
+    return grid, sample_configuration(model, index)
+
+
 class TestHomogeneousRecursion:
     """The division-free recursion against the screened loop and the oracle."""
 
     def test_matches_screened_loop_at_fig4_size(self):
-        config = scenarios.config_from_dict({"scenario": "fig4"})
-        pulse = scenarios._pulse(config, 0.0)
-        (grid, _), = fitting._shared_grids([pulse.at_carrier(c) for c in config.detunings])
-        model = DisorderModel(n_atoms=scenarios._ensemble(config).n_atoms,
-                              beta_mean=config.beta, seed=config.seed)
-        ens = sample_configuration(model, 0)
+        grid, ens = default_configuration("fig4")
         assert (ens.n_atoms, grid.size) == (1175, 16428)
         _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
         t_ref, s_ref = _screened_recursion(grid, ens, RECURSION_EPS)
@@ -272,6 +290,181 @@ class TestHomogeneousRecursion:
         _, t_prod, s = _recursion(g, ens, RECURSION_EPS)
         assert np.all(np.isfinite(t_prod)) and np.all(np.isfinite(s))
         assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
+
+
+def long_double_recursion(delta, ens):
+    """(prod_n t_n, s_1) of the homogeneous step in long double, from the
+    float64 values of e^{i theta_n} that the kernels use."""
+    beta = np.longdouble(ens.beta)
+    a = beta / ((np.longdouble(0.5) - beta) + 1j * delta.astype(np.longdouble))
+    x = np.zeros(delta.size, dtype=np.clongdouble)
+    y = np.ones(delta.size, dtype=np.clongdouble)
+    for e in np.exp(1j * ens.phase).astype(np.clongdouble)[::-1]:
+        p = a * (x + e * y)
+        x -= p
+        y += p * np.conj(e)
+    return (1 / y).astype(complex), (x / y).astype(complex)
+
+
+def long_double_coefficients(ens, degree):
+    """The coefficients of _polynomial_coefficients in long double, step by step."""
+    a_max = np.longdouble(ens.beta) / (np.longdouble(0.5) - np.longdouble(ens.beta))
+    x = np.zeros(degree + 1, dtype=np.clongdouble)
+    y = np.zeros(degree + 1, dtype=np.clongdouble)
+    y[0] = 1
+    for k, e in enumerate(np.exp(1j * ens.phase).astype(np.clongdouble)[::-1]):
+        m = min(k + 1, degree)
+        w = a_max * (x[:m] + e * y[:m])
+        x[1:m + 1] -= w
+        y[1:m + 1] += w * np.conj(e)
+    return np.array([x, y])
+
+
+def certificate_tail(bound, degree):
+    """sum_{j > degree} bound^j / j!, to 120 digits."""
+    from decimal import Decimal, getcontext
+    getcontext().prec = 120
+    r, term, head = Decimal(repr(bound)), Decimal(1), Decimal(1)
+    for j in range(1, degree + 1):
+        term = term * r / j
+        head += term
+    return r.exp() - head
+
+
+class TestPolynomialRecursion:
+    """The two-way recursion as a truncated polynomial in z, its bound and fallbacks."""
+
+    BETA = 0.0055
+
+    def ensemble(self, n, seed):
+        return EnsembleSpec(self.BETA, np.random.default_rng(seed).uniform(0, 2 * math.pi, n))
+
+    def test_matches_homogeneous_recursion_at_fig4_size(self):
+        grid, ens = default_configuration("fig4")
+        _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+        t_ref, s_ref = _homogeneous_recursion(grid, ens, 32)
+        assert np.max(np.abs(t_prod - t_ref) / np.abs(t_ref)) <= 1e-12
+        assert np.max(np.abs(s - s_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("od", [5.0, 19.3, 26.0, 40.0])
+    def test_certified_against_long_double(self, od):
+        # relative error of T and absolute error of s, both under 1e-12 and
+        # under the per-point bound, which stays below the fallback tolerance
+        grid = detuning_grid(40.0, 2048)
+        for seed in range(3):
+            ens = self.ensemble(od_to_atom_number(od, self.BETA), seed)
+            t_prod, s, bound = _certified_polynomial(grid, ens)
+            t_ref, s_ref = long_double_recursion(grid, ens)
+            error = np.maximum(np.abs(t_prod - t_ref) / np.abs(t_ref), np.abs(s - s_ref))
+            assert np.max(error) <= 1e-12
+            assert np.all(error <= bound)
+            assert np.max(bound) <= spectra._POLY_TOL
+
+    def test_bound_holds_on_random_short_chains(self):
+        # below ~300 atoms a small coefficient can miss its own modulus by
+        # more than N eps, but its weight in the sum keeps the bound above
+        # the error (2x at the closest of these 300 chains)
+        rng = np.random.default_rng(123)
+        grid = detuning_grid(40.0, 256)
+        chains = 0
+        while chains < 300:
+            n, beta = int(rng.integers(1, 200)), float(rng.uniform(0.001, 0.45))
+            if 2 * n * beta / (0.5 - beta) > spectra._POLY_CAP:
+                continue
+            chains += 1
+            ens = EnsembleSpec(beta, rng.uniform(0.0, 2 * math.pi, n))
+            t_prod, s, bound = _certified_polynomial(grid, ens)
+            t_ref, s_ref = long_double_recursion(grid, ens)
+            error = np.maximum(np.abs(t_prod - t_ref) / np.abs(t_ref), np.abs(s - s_ref))
+            assert np.all(error <= bound)
+
+    def test_bound_is_the_running_error_of_horner_and_the_recurrence(self):
+        # eps (N + D) sum_j (|X_j| + |Y_j|) |z|^j |T|, rebuilt from the coefficients
+        grid = detuning_grid(40.0, 256)
+        ens = self.ensemble(400, 3)
+        a_max = ens.beta / (0.5 - ens.beta)
+        degree = _truncation_degree(2 * ens.n_atoms * a_max, ens.n_atoms)
+        coef = _polynomial_coefficients(ens.phase, a_max, degree)
+        z = (0.5 - ens.beta) / ((0.5 - ens.beta) + 1j * grid)
+        t_prod, _, bound = _certified_polynomial(grid, ens)
+        size = np.polynomial.polynomial.polyval(np.abs(z), np.abs(coef).sum(axis=0))
+        expected = np.finfo(float).eps * (ens.n_atoms + degree) * size * np.abs(t_prod)
+        assert np.allclose(bound, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("scenario", ["fig4", "s1"])
+    def test_coefficients_within_n_eps_of_long_double(self, scenario):
+        # the fact behind the N term of the bound: each coefficient of the
+        # recurrence is within N eps of its own modulus
+        _, ens = default_configuration(scenario)
+        a_max = ens.beta / (0.5 - ens.beta)
+        degree = _truncation_degree(2 * ens.n_atoms * a_max, ens.n_atoms)
+        coef = _polynomial_coefficients(ens.phase, a_max, degree)
+        reference = long_double_coefficients(ens, degree)
+        error = np.abs(coef - reference.astype(complex))
+        assert np.all(error <= ens.n_atoms * np.finfo(float).eps * np.abs(reference))
+
+    @pytest.mark.parametrize("bound, n_atoms", [(0.011, 2000), (2.0, 2000), (19.3, 2000),
+                                                (26.13751263902932, 1175), (64.0, 4000),
+                                                (26.0, 60)])
+    def test_truncation_degree_is_the_smallest_with_a_tail_below_1e_20(self, bound, n_atoms):
+        degree = _truncation_degree(bound, n_atoms)
+        if degree == n_atoms:
+            assert certificate_tail(bound, n_atoms - 1) >= spectra._POLY_TAIL
+        else:
+            assert certificate_tail(bound, degree) < spectra._POLY_TAIL
+            assert certificate_tail(bound, degree - 1) >= spectra._POLY_TAIL
+        assert _truncation_degree(26.13751263902932, 1175) == 106  # fig4
+
+    def test_exact_polynomial_on_short_chains(self):
+        # below ~60 atoms nothing is truncated, so every coefficient counts
+        rng = np.random.default_rng(8)
+        grid = np.linspace(-19.5, 19.5, 64)
+        for n in (1, 2, 7, 30):
+            for beta in (0.01, 0.2, 0.4):
+                ens = EnsembleSpec(beta, rng.uniform(0.0, 2 * math.pi, n))
+                t_prod, s, _ = _certified_polynomial(grid, ens)
+                t_ref, s_ref = transfer_matrix_solution(grid, per_atom_beta(ens), ens.phase)
+                assert np.max(np.abs(t_prod - t_ref)) <= 1e-12
+                assert np.max(np.abs(s - s_ref)) <= 1e-12
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        homogeneous = spectra._homogeneous_recursion
+        monkeypatch.setattr(spectra, "_homogeneous_recursion",
+                            lambda delta, *args: calls.append(delta) or homogeneous(delta, *args))
+        return calls
+
+    def test_fallback_on_the_whole_grid_above_the_cap(self, monkeypatch):
+        ens = self.ensemble(3000, 1)
+        assert 2 * ens.n_atoms * ens.beta / (0.5 - ens.beta) > spectra._POLY_CAP
+        grid = detuning_grid(40.0, 256)
+        calls = self.spy(monkeypatch)
+        _recursion(grid, ens, RECURSION_EPS)
+        assert len(calls) == 1 and np.array_equal(calls[0], grid)
+
+    def test_fallback_on_the_points_that_fail_the_bound(self, monkeypatch):
+        # OD 60: the bound passes 1e-10 near resonance only
+        grid = detuning_grid(40.0, 2048)
+        ens = self.ensemble(od_to_atom_number(60.0, self.BETA), 0)
+        t_poly, s_poly, bound = _certified_polynomial(grid, ens)
+        bad = bound > spectra._POLY_TOL
+        assert 0 < np.count_nonzero(bad) < grid.size // 10
+        calls = self.spy(monkeypatch)
+        _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+        assert len(calls) == 1 and np.array_equal(calls[0], grid[bad])
+        t_ref, s_ref = _homogeneous_recursion(grid[bad], ens, 32)
+        assert np.array_equal(t_prod[bad], t_ref) and np.array_equal(s[bad], s_ref)
+        assert np.array_equal(t_prod[~bad], t_poly[~bad])
+        assert np.array_equal(s[~bad], s_poly[~bad])
+
+    @pytest.mark.parametrize("scenario", ["fig4", "s1"])
+    def test_no_fallback_at_defaults(self, monkeypatch, scenario):
+        calls = self.spy(monkeypatch)
+        for index in range(2):
+            grid, ens = default_configuration(scenario, index)
+            _recursion(grid, ens, RECURSION_EPS)
+        assert calls == []
 
 
 class TestCavity:
