@@ -244,8 +244,8 @@ def _check_grid(pulse: PulseWaveform, delta):
 def _propagate(pulse: PulseWaveform, amplitude):
     """The output field of propagate_pulse, unchecked: amplitude must be
     sampled on pulse.detunings() (_check_grid) and passive."""
-    # a named response: numpy would multiply into an unnamed temporary in
-    # place, by another loop that rounds the last bit differently
+    # named, because numpy multiplies into a large unnamed temporary in
+    # place with the operands swapped, which rounds some last bits otherwise
     response = np.fft.ifftshift(amplitude)
     return np.fft.ifft(pulse.spectrum * response)
 

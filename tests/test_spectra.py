@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 import warnings
@@ -320,15 +321,15 @@ def long_double_coefficients(ens, degree):
     return np.array([x, y])
 
 
-def certificate_tail(bound, degree):
+def exponential_tail(bound, degree):
     """sum_{j > degree} bound^j / j!, to 120 digits."""
-    from decimal import Decimal, getcontext
-    getcontext().prec = 120
-    r, term, head = Decimal(repr(bound)), Decimal(1), Decimal(1)
-    for j in range(1, degree + 1):
-        term = term * r / j
-        head += term
-    return r.exp() - head
+    with decimal.localcontext() as context:
+        context.prec = 120
+        r, term, head = decimal.Decimal(repr(bound)), decimal.Decimal(1), decimal.Decimal(1)
+        for j in range(1, degree + 1):
+            term = term * r / j
+            head += term
+        return r.exp() - head
 
 
 class TestPolynomialRecursion:
@@ -409,10 +410,10 @@ class TestPolynomialRecursion:
     def test_truncation_degree_is_the_smallest_with_a_tail_below_1e_20(self, bound, n_atoms):
         degree = _truncation_degree(bound, n_atoms)
         if degree == n_atoms:
-            assert certificate_tail(bound, n_atoms - 1) >= spectra._POLY_TAIL
+            assert exponential_tail(bound, n_atoms - 1) >= spectra._POLY_TAIL
         else:
-            assert certificate_tail(bound, degree) < spectra._POLY_TAIL
-            assert certificate_tail(bound, degree - 1) >= spectra._POLY_TAIL
+            assert exponential_tail(bound, degree) < spectra._POLY_TAIL
+            assert exponential_tail(bound, degree - 1) >= spectra._POLY_TAIL
         assert _truncation_degree(26.13751263902932, 1175) == 106  # fig4
 
     def test_exact_polynomial_on_short_chains(self):
