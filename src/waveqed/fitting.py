@@ -17,20 +17,8 @@ from scipy.signal import find_peaks
 
 from .disorder import DisorderModel, average_observable
 from .physics import EnsembleSpec, Units
-from .pulses import (
-    _check_grid,
-    _propagate,
-    atom_dynamics,
-    collective_rate_at_switchoff,
-    propagate_pulse,
-)
-from .spectra import (
-    RECURSION_EPS,
-    TransferSpectrum,
-    _check_passive,
-    _recursion,
-    transfer_unidirectional,
-)
+from .pulses import _check_grid, _propagate, atom_dynamics, collective_rate_at_switchoff
+from .spectra import RECURSION_EPS, _check_passive, _recursion, transfer_unidirectional
 
 SETTLE_DELAY = Units().time_from_si(1e-9)      # skip the switch-off transient
 FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
@@ -221,7 +209,7 @@ def _directional_powers(pulses):
     def observable(ens):
         out = np.empty((len(pulses), 2, n))
         for grid, members in groups:
-            _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+            t_prod, s = _recursion(grid, ens, RECURSION_EPS)
             _check_passive(t_prod)
             _check_passive(s)
             for i, start in members:
@@ -273,12 +261,12 @@ def disorder_averaged_forward(pulse, n_atoms, beta, n_configs, seed, n_workers=1
     """
     delta = pulse.detunings()
     uniform = EnsembleSpec.uniform(n_atoms, beta)
-    cascade = propagate_pulse(pulse, transfer_unidirectional(delta, uniform)).power()
+    cascade = np.abs(_propagate(pulse, transfer_unidirectional(delta, uniform).amplitude)) ** 2
     model = DisorderModel(n_atoms=n_atoms, beta_mean=beta, seed=seed)
 
     def forward_power(sample):
         # on the pulse's own grid: only passivity is left to check
-        _, t_prod, _ = _recursion(delta, sample, RECURSION_EPS)
+        t_prod, _ = _recursion(delta, sample, RECURSION_EPS)
         _check_passive(t_prod)
         return np.abs(_propagate(pulse, t_prod)) ** 2
 
@@ -350,12 +338,13 @@ def ring_multipass(pulse, ensemble, cavity, roundtrips, start, settle_delay) -> 
     rate_sp, seg_sp = [], []
     for k in range(1, max(roundtrips, (end - 1 - onset) // shift) + 1):
         cumulative = cumulative * single
-        passes = propagate_pulse(pulse, TransferSpectrum(delta, cumulative))
+        # passive as the single pass is, which transfer_unidirectional checked
+        passes = _propagate(pulse, cumulative)
         echo = -(1.0 - cavity.t_c ** 2) * cavity.t_c ** (k - 1) * loop ** k
-        field[k * shift:] += echo * passes.envelope[:end - k * shift]
+        field[k * shift:] += echo * passes[:end - k * shift]
         no_atom[k * shift:] += echo * envelope[:end - k * shift]
         if k <= roundtrips:
-            p_sp = passes.power()
+            p_sp = np.abs(passes) ** 2
             rate_sp.append(fit_pulse_decay(t, p_sp, pulse.switch_off, FLASH_WINDOW,
                                            settle_delay, min_points=6).rate)
             seg_sp.append(p_sp[lo0:lo0 + shift].copy())  # a view would keep all of p_sp alive
@@ -411,21 +400,21 @@ def collective_decay_vs_od(pulse, od_values, beta, window_long, window_short, wi
                            settle_delay):
     """Forward pulse decay rate and collective rate across an OD sweep.
 
-    Propagates the pulse through the forward cascade (position
-    independent) of a uniform ensemble at each OD.  The fit window is
-    capped at window_long (window_short above window_short_od, where the
-    decays are much faster) and then adapted by fit_initial_decay so the
-    fit tracks the initial flash decay.  Gamma_coll is read at the default
-    settle delay of collective_rate_at_switchoff.
+    Fits the transmitted power that atom_dynamics computes for the forward
+    cascade (position independent) of a uniform ensemble at each OD, so
+    each OD propagates the pulse once.  The fit window is capped at
+    window_long (window_short above window_short_od, where the decays are
+    much faster) and then adapted by fit_initial_decay so the fit tracks
+    the initial flash decay.  Gamma_coll is read at the default settle
+    delay of collective_rate_at_switchoff.
     """
-    delta = pulse.detunings()
     points = []
     for od in od_values:
         ens = EnsembleSpec.from_od(od, beta)
-        out = propagate_pulse(pulse, transfer_unidirectional(delta, ens))
-        cap = window_long if od <= window_short_od else window_short
-        fit = fit_initial_decay(out.t, out.power(), pulse.switch_off, cap, settle_delay)
         traj = atom_dynamics(pulse, ens, trace_atoms=())
+        cap = window_long if od <= window_short_od else window_short
+        fit = fit_initial_decay(pulse.t, traj.transmitted_power, pulse.switch_off, cap,
+                                settle_delay)
         gamma = collective_rate_at_switchoff(traj, pulse.switch_off)
         points.append(CollectiveDecayPoint(float(od), ens.n_atoms, fit, gamma))
     return points

@@ -19,7 +19,7 @@ from .physics import EnsembleSpec
 from .spectra import (
     TransferSpectrum,
     _cascade_amplitudes,
-    _is_power_of_two,
+    _grid_length,
     _validate_grid,
     transfer_unidirectional,
 )
@@ -46,11 +46,10 @@ def time_grid(span, n):
     The sample step is pi/span, so pulses on this grid pair with media
     evaluated on ``PulseWaveform.detunings()``.
     """
-    if not _is_power_of_two(int(n)):
-        raise ValueError(f"grid length must be a power of two, got {n}")
+    n = _grid_length(n)
     if not 0 < float(span) < math.inf:
         raise ValueError(f"span must be finite and positive, got {span}")
-    return np.arange(int(n)) * (math.pi / float(span))
+    return np.arange(n) * (math.pi / float(span))
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,8 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
         raise ValueError(f"rise_fall must be non-negative, got {rise_fall}")
     if rise_fall >= duration:
         raise ValueError(f"rise_fall {rise_fall} must be shorter than duration {duration}")
+    if not 0 <= float(photon_number) < math.inf:
+        raise ValueError(f"photon_number must be finite and non-negative, got {photon_number}")
     dt = t[1] - t[0]
     if rise_fall > 0 and rise_fall < MIN_EDGE_SAMPLES * dt:
         raise ValueError(
@@ -258,11 +259,13 @@ class AtomTrajectorySet:
     atoms of the ensemble, and gamma_coll = -dE/dt / E the collective rate,
     exact from the cascade's flux balance (see atom_dynamics).  gamma_coll
     is NaN wherever E falls below ENERGY_FLOOR of its maximum (mask in
-    ``valid``).  traces holds p_n(t) for the atoms listed in atom_indices,
-    sampled on trace_t (a possibly strided copy of t).
+    ``valid``).  transmitted_power is the output flux P_out(t) of the
+    cascade, as propagate_pulse gives it.  traces holds p_n(t) for the atoms
+    listed in atom_indices, sampled on trace_t (a possibly strided copy of t).
     """
 
     t: np.ndarray
+    transmitted_power: np.ndarray
     energy: np.ndarray
     gamma_coll: np.ndarray
     valid: np.ndarray
@@ -317,8 +320,9 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     traces = np.empty((selected.size, trace_t.size))
     keep = {int(a): row for row, a in enumerate(selected)}
 
-    response = np.fft.ifftshift(transfer_unidirectional(pulse.detunings(), ensemble).amplitude)
-    flux = pulse.power() - np.abs(np.fft.ifft(spectrum * response)) ** 2
+    transmitted = np.abs(_propagate(
+        pulse, transfer_unidirectional(pulse.detunings(), ensemble).amplitude)) ** 2
+    flux = pulse.power() - transmitted
     loss_rate = 1.0 - ensemble.beta
     energy = np.fft.ifft(np.fft.fft(flux) / (1j * omega + loss_rate)).real
     # range first, so the generator stops after the last requested atom
@@ -330,7 +334,7 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))
     gamma = np.full(pulse.t.size, np.nan)
     gamma[valid] = -de_dt[valid] / energy[valid]
-    return AtomTrajectorySet(pulse.t, energy, gamma, valid, trace_t, traces, selected)
+    return AtomTrajectorySet(pulse.t, transmitted, energy, gamma, valid, trace_t, traces, selected)
 
 
 def collective_rate_at_switchoff(traj: AtomTrajectorySet, t_off, settle_delay=0.02) -> float:

@@ -353,18 +353,17 @@ def _power_columns(config: ScenarioConfig, t, t_max, powers):
             + [(name, "photons_per_ns", power[idx] * per_ns) for name, power in powers])
 
 
-def _transmitted(config: ScenarioConfig, pulse, ensemble) -> dict:
-    transmitted = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(), ensemble))
+def _transmitted(config: ScenarioConfig, pulse, power) -> dict:
     return {"transmitted_power": _power_columns(
         config, pulse.t, pulse.switch_off + _TAIL,
-        [("input_power", pulse.power()), ("transmitted_power", transmitted.power())])}
+        [("input_power", pulse.power()), ("transmitted_power", power)])}
 
 
 def _run_fig2(config: ScenarioConfig) -> dict:
     ens = _ensemble(config)
     pulse = _pulse(config, config.detuning)
-    tables = _transmitted(config, pulse, ens)
     traj = atom_dynamics(pulse, ens, trace_stride=max(1, config.time_stride // 2))
+    tables = _transmitted(config, pulse, traj.transmitted_power)
 
     # atoms past N clip to N; a label listed twice would repeat a column name
     labels = list(dict.fromkeys(min(a, ens.n_atoms) for a in config.trace_atoms))
@@ -451,7 +450,9 @@ def _run_s1(config: ScenarioConfig) -> dict:
 
 
 def _run_custom(config: ScenarioConfig) -> dict:
-    return _transmitted(config, _pulse(config, config.detuning), _ensemble(config))
+    pulse = _pulse(config, config.detuning)
+    medium = transfer_unidirectional(pulse.detunings(), _ensemble(config))
+    return _transmitted(config, pulse, propagate_pulse(pulse, medium).power())
 
 
 _RUNNERS = {

@@ -50,14 +50,19 @@ def _validate_grid(values, name="detuning grid"):
     return values
 
 
+def _grid_length(n) -> int:
+    """n as an int, if it is an integer (not a bool or a float) and a power of two."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not _is_power_of_two(n):
+        raise ValueError(f"grid length must be an integer power of two, got {n!r}")
+    return int(n)
+
+
 def detuning_grid(span, n):
     """Uniform FFT-style grid of n detunings covering [-span, span).
 
     n must be a power of two; the grid contains 0 and has spacing 2*span/n.
     """
-    if not _is_power_of_two(int(n)):
-        raise ValueError(f"grid length must be a power of two, got {n}")
-    n = int(n)
+    n = _grid_length(n)
     if not 0 < float(span) < math.inf:
         raise ValueError(f"span must be finite and positive, got {span}")
     step = 2.0 * float(span) / n
@@ -97,7 +102,6 @@ def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
 
     Independent of the positional phases.
     """
-    delta = _validate_grid(delta)
     return TransferSpectrum(delta, single_atom_coefficients(delta, ensemble.beta)[0]
                             ** ensemble.n_atoms)
 
@@ -164,7 +168,7 @@ _POLY_TAIL = 1e-20
 
 
 def _recursion(delta, ensemble, eps):
-    """(grid, prod_n t_n, s_1) of the two-way recursion on a uniform grid.
+    """(prod_n t_n, s_1) of the two-way recursion on a uniform grid.
 
     Every atom is passive (beta <= 1/2), so the reflection carried from
     the far end keeps |s| <= 1 (to ~1e-12 in floating point) and every
@@ -180,8 +184,8 @@ def _recursion(delta, ensemble, eps):
     margin = 0.5 - ensemble.beta
     if margin > 2.0 * max(eps, RECURSION_EPS):
         block = _LONG_BLOCK if margin >= _LONG_BLOCK_MARGIN else _SHORT_BLOCK
-        return (delta, *_polynomial_recursion(delta, ensemble, block))
-    return (delta, *_screened_recursion(delta, ensemble, eps))
+        return _polynomial_recursion(delta, ensemble, block)
+    return _screened_recursion(delta, ensemble, eps)
 
 
 def _truncation_degree(bound, n_atoms):
@@ -368,7 +372,8 @@ def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
     Degenerate denominators (modulus < eps) trigger a
     DegenerateDenominatorWarning; the values are still computed.
     """
-    delta, t_prod, s = _recursion(_validate_grid(delta), ensemble, eps)
+    delta = _validate_grid(delta)
+    t_prod, s = _recursion(delta, ensemble, eps)
     return TransferSpectrum(delta, t_prod), TransferSpectrum(delta, s)
 
 

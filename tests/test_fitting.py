@@ -209,7 +209,7 @@ class TestSharedGridSweep:
         ens = sample_configuration(DisorderModel(SMALL_ATOMS, SMALL_BETA, seed=3), 0)
         powers = fitting._directional_powers(pulses)(ens)
         (grid, members), = fitting._shared_grids(pulses)
-        _, t_prod, s = fitting._recursion(grid, ens, fitting.RECURSION_EPS)
+        t_prod, s = fitting._recursion(grid, ens, fitting.RECURSION_EPS)
         for i, start in members:
             for row, amplitude in enumerate((t_prod, s)):
                 medium = TransferSpectrum(grid[start:start + n], amplitude[start:start + n])

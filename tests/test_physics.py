@@ -138,8 +138,9 @@ class TestEnsembleSpec:
             EnsembleSpec.uniform(0)
 
 
-def _pulse(duration=3.0, rise_fall=0.2):
-    return synthesize_pulse(time_grid(256.0, 2 ** 12), duration, rise_fall, start=2.0)
+def _pulse(duration=3.0, rise_fall=0.2, photon_number=1.0):
+    return synthesize_pulse(time_grid(256.0, 2 ** 12), duration, rise_fall,
+                            photon_number=photon_number, start=2.0)
 
 
 NAN = float("nan")
@@ -161,6 +162,8 @@ NAN = float("nan")
                  id="photon_number-nan"),
     pytest.param("photon_number", lambda: replace(_pulse(), photon_number=math.inf),
                  id="photon_number-inf"),
+    pytest.param("photon_number", lambda: _pulse(photon_number=-1.0),
+                 id="photon_number-negative"),
     pytest.param("carrier_detuning", lambda: replace(_pulse(), carrier_detuning=NAN),
                  id="carrier-nan"),
     pytest.param("duration", lambda: _pulse(duration=NAN), id="duration-nan"),
@@ -174,3 +177,15 @@ NAN = float("nan")
 def test_nan_and_inf_rejected_naming_the_parameter(name, build):
     with pytest.raises(ValueError, match=name):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: time_grid(256.0, 4096.9), id="time-float"),
+    pytest.param(lambda: time_grid(1.0, True), id="time-bool"),
+    pytest.param(lambda: detuning_grid(1.0, 8.0), id="detuning-float"),
+    pytest.param(lambda: detuning_grid(1.0, np.True_), id="detuning-numpy-bool"),
+])
+def test_grid_length_must_be_an_integer(build):
+    with pytest.raises(ValueError, match="grid length"):
+        build()
+    assert time_grid(1.0, np.int64(8)).size == detuning_grid(1.0, np.uint32(8)).size == 8

@@ -288,6 +288,16 @@ class TestCollectiveRate:
             assert np.isfinite(gamma) and gamma > 0
             assert traj.energy[idx] > 1e3 * ENERGY_FLOOR * traj.energy.max()
 
+    @pytest.mark.parametrize("scenario", ["fig2", "fig3"])
+    def test_transmitted_power_bitwise_equal_to_propagate_pulse(self, scenario):
+        config = config_from_dict({"scenario": scenario})
+        pulse = scenario_pulse(config, config.detuning)
+        for od in config.od_values if scenario == "fig3" else [config.od]:
+            ens = EnsembleSpec.from_od(od, config.beta)
+            medium = transfer_unidirectional(pulse.detunings(), ens)
+            assert np.array_equal(atom_dynamics(pulse, ens, trace_atoms=()).transmitted_power,
+                                  propagate_pulse(pulse, medium).power())
+
     def test_error_outside_window(self):
         pulse = small_pulse()
         traj = atom_dynamics(pulse, EnsembleSpec.uniform(1, 0.0055))

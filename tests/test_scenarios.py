@@ -22,6 +22,7 @@ from waveqed import (
     synthesize_pulse,
     time_grid,
 )
+from waveqed import fitting, pulses, scenarios, spectra
 from waveqed.cli import main
 from waveqed.scenarios import SCENARIOS
 
@@ -290,6 +291,24 @@ class TestRunScenario:
         files = run_scenario(config_from_dict(raw))
         header = files["atom_traces"].read_text().splitlines()[1].split(",")
         assert header == ["time_ns", "p_atom_1_probability", "p_atom_50_probability"]
+
+    @pytest.mark.parametrize("scenario, extra, cascades", [
+        pytest.param("fig2", {}, 1, id="fig2"),
+        pytest.param("fig3", {"drop": ("od",), "od_values": [1.0, 1.5, 2.0]}, 3, id="fig3"),
+    ])
+    def test_each_cascade_propagated_once(self, tmp_path, monkeypatch, scenario, extra,
+                                          cascades):
+        # the transmitted power comes from atom_dynamics, not from a second propagation
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].n_atoms)
+            return spectra.transfer_unidirectional(*args)
+
+        for module in (fitting, pulses, scenarios):
+            monkeypatch.setattr(module, "transfer_unidirectional", counted)
+        run_scenario(config_from_dict(tiny_custom(tmp_path, scenario=scenario, **extra)))
+        assert len(calls) == cascades
 
     @pytest.mark.parametrize("scenario, extra", [
         ("fig4", {"drop": ("detuning",), "detunings": [0.5, 3.0], "disorder": {"n_configs": 2}}),

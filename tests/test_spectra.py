@@ -240,7 +240,7 @@ class TestHomogeneousRecursion:
     def test_matches_screened_loop_at_fig4_size(self):
         grid, ens = default_configuration("fig4")
         assert (ens.n_atoms, grid.size) == (1175, 16428)
-        _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+        t_prod, s = _recursion(grid, ens, RECURSION_EPS)
         t_ref, s_ref = _screened_recursion(grid, ens, RECURSION_EPS)
         assert np.max(np.abs(t_prod - t_ref)) <= 1e-13
         assert np.max(np.abs(s - s_ref)) <= 1e-13
@@ -270,7 +270,7 @@ class TestHomogeneousRecursion:
         def law(params):
             beta, phase = params[0], np.array(params[1])
             sizes.append(phase.size)
-            _, t_prod, s = _recursion(grid, EnsembleSpec(beta, phase), RECURSION_EPS)
+            t_prod, s = _recursion(grid, EnsembleSpec(beta, phase), RECURSION_EPS)
             t_ref, s_ref = transfer_matrix_solution(grid, np.full(phase.size, beta), phase)
             assert np.max(np.abs(t_prod - t_ref)) <= 1e-12
             assert np.max(np.abs(s - s_ref)) <= 1e-12
@@ -288,7 +288,7 @@ class TestHomogeneousRecursion:
         n = 2000
         ens = EnsembleSpec(0.5 - margin, rng.uniform(0.0, 2 * math.pi, n))
         g = detuning_grid(64.0, 4096)
-        _, t_prod, s = _recursion(g, ens, RECURSION_EPS)
+        t_prod, s = _recursion(g, ens, RECURSION_EPS)
         assert np.all(np.isfinite(t_prod)) and np.all(np.isfinite(s))
         assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
 
@@ -342,7 +342,7 @@ class TestPolynomialRecursion:
 
     def test_matches_homogeneous_recursion_at_fig4_size(self):
         grid, ens = default_configuration("fig4")
-        _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+        t_prod, s = _recursion(grid, ens, RECURSION_EPS)
         t_ref, s_ref = _homogeneous_recursion(grid, ens, 32)
         assert np.max(np.abs(t_prod - t_ref) / np.abs(t_ref)) <= 1e-12
         assert np.max(np.abs(s - s_ref)) <= 1e-12
@@ -452,7 +452,7 @@ class TestPolynomialRecursion:
         bad = bound > spectra._POLY_TOL
         assert 0 < np.count_nonzero(bad) < grid.size // 10
         calls = self.spy(monkeypatch)
-        _, t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+        t_prod, s = _recursion(grid, ens, RECURSION_EPS)
         assert len(calls) == 1 and np.array_equal(calls[0], grid[bad])
         t_ref, s_ref = _homogeneous_recursion(grid[bad], ens, 32)
         assert np.array_equal(t_prod[bad], t_ref) and np.array_equal(s[bad], s_ref)
@@ -578,7 +578,7 @@ class TestRandomChainLaws:
 
         def law(params):
             beta, phase = params[0], np.array(params[1])
-            _, t_prod, s = _recursion(self.GRID, EnsembleSpec(beta, phase), RECURSION_EPS)
+            t_prod, s = _recursion(self.GRID, EnsembleSpec(beta, phase), RECURSION_EPS)
             assert np.max(np.abs(s)) <= 1.0 + 1e-12
             assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
 
