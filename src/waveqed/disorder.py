@@ -20,6 +20,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it at import, not in a run)
 
 from .physics import BETA_DEFAULT, EnsembleSpec
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .disorder import DisorderModel, average_observable
 from .physics import EnsembleSpec, Units
@@ -44,12 +43,15 @@ class DecayFit:
     residuals: np.ndarray
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"fitted rate must be positive, got {self.rate}")
+        # written so that NaN fails each check
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"fitted rate must lie in (0, inf), got {self.rate}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"fitted amplitude must be finite, got {self.amplitude}")
         if not self.window[1] > self.window[0]:
             raise ValueError("fit window must be increasing")
-        if self.rms_residual < 0:
-            raise ValueError("rms_residual must be non-negative")
+        if not 0 <= self.rms_residual < math.inf:
+            raise ValueError(f"rms_residual must lie in [0, inf), got {self.rms_residual}")
 
     def model(self, t):
         return self.amplitude * np.exp(-self.rate * (np.asarray(t) - self.window[0]))
@@ -110,8 +112,11 @@ def residual_spectrum(fit: DecayFit, min_frequency=None) -> ResidualSpectrum:
     """Power spectral density of the fit residuals, with peak finding.
 
     The fit window must hold at least four periods of min_frequency
-    (default: exactly the four-period limit of the window).
+    (default: exactly the four-period limit of the window).  scipy is
+    imported here, on the first call, so that waveqed imports numpy only.
     """
+    from scipy.signal import find_peaks
+
     res = fit.residuals
     t = fit.t
     n = res.size

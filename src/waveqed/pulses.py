@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import, not in a run)
 
 from .physics import EnsembleSpec
 from .spectra import (

@@ -7,6 +7,7 @@ import pytest
 
 from waveqed import (
     CavitySpec,
+    DecayFit,
     EnsembleSpec,
     Units,
     detuning_grid,
@@ -146,6 +147,12 @@ def _pulse(duration=3.0, rise_fall=0.2, photon_number=1.0):
 NAN = float("nan")
 
 
+def _fit(**overrides):
+    fit = DecayFit(rate=1.0, amplitude=1.0, window=(0.0, 1.0), rms_residual=0.0,
+                   t=np.array([0.0, 1.0]), residuals=np.zeros(2))
+    return replace(fit, **overrides)
+
+
 @pytest.mark.parametrize("name, build", [
     pytest.param("beta", lambda: EnsembleSpec.uniform(3, NAN), id="ensemble-beta-nan"),
     pytest.param("phase", lambda: replace(EnsembleSpec.uniform(2, 0.01),
@@ -173,6 +180,11 @@ NAN = float("nan")
     pytest.param("gamma0_hz", lambda: Units(gamma0_hz=math.inf), id="gamma0_hz-inf"),
     pytest.param("span", lambda: detuning_grid(math.inf, 8), id="detuning-span-inf"),
     pytest.param("span", lambda: time_grid(NAN, 8), id="time-span-nan"),
+    pytest.param("rate", lambda: _fit(rate=math.inf), id="fit-rate-inf"),
+    pytest.param("amplitude", lambda: _fit(amplitude=NAN), id="fit-amplitude-nan"),
+    pytest.param("amplitude", lambda: _fit(amplitude=math.inf), id="fit-amplitude-inf"),
+    pytest.param("rms_residual", lambda: _fit(rms_residual=NAN), id="fit-rms-nan"),
+    pytest.param("rms_residual", lambda: _fit(rms_residual=math.inf), id="fit-rms-inf"),
 ])
 def test_nan_and_inf_rejected_naming_the_parameter(name, build):
     with pytest.raises(ValueError, match=name):

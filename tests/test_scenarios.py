@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -285,6 +288,16 @@ class TestRunScenario:
         assert data.shape[1] == len(header)
         assert np.all(np.isfinite(data))
 
+    def test_write_csv_prints_every_value_by_its_repr(self, tmp_path):
+        # repeated values share one repr; 0.0 and -0.0 compare equal but print differently
+        x = np.array([0.0, -0.0, 0.0, 0.1 + 0.2, np.nan, np.inf, -np.inf, 5e-324, -0.0])
+        k = np.array([3, 1, 3, 3, 0, 1, 2, 2, 1])
+        path = scenarios.write_csv(tmp_path / "t.csv", "custom", [("x", "", x), ("k", "ns", k)])
+        rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, k)]
+        assert path.read_text() == "\n".join(["# scenario: custom", "x,k_ns", *rows]) + "\n"
+        empty = scenarios.write_csv(tmp_path / "e.csv", "custom", [("x", "", [])])
+        assert empty.read_text() == "# scenario: custom\nx\n"
+
     def test_fig2_clipped_trace_atoms_one_column_each(self, tmp_path):
         # the default trace atoms 1, 100 and 600 clip to 1, 50 and 50
         raw = tiny_custom(tmp_path / "fig2", scenario="fig2", od=None, n_atoms=50)
@@ -370,6 +383,35 @@ class TestRunScenario:
         data = np.genfromtxt(files["uni_vs_bi"], delimiter=",", skip_header=2)
         peak = data[:, 1].max()
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 0.05 * peak
+
+
+# Run in a fresh process: the pytest process already holds scipy (tests/oracles.py).
+_IMPORT_PROBE = """
+import json, sys
+import waveqed
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from test_scenarios import TINY_RUNS, tiny_custom
+configs = [waveqed.config_from_dict(tiny_custom(f"{sys.argv[1]}/{scenario}",
+                                                scenario=scenario, **extra))
+           for scenario, (extra, _) in TINY_RUNS.items()]
+before = set(sys.modules)
+for config in configs:
+    waveqed.run_scenario(config)
+print(json.dumps({"scipy": scipy, "run": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_import_loads_no_scipy_and_runs_import_nothing(tmp_path):
+    # scipy.signal costs about 1 s of start-up; a module that a run loads lazily
+    # lands inside the run's time instead of the import's
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"scipy": [], "run": []}
 
 
 class TestCli:
