@@ -15,9 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderModel, average_observable
-from .physics import EnsembleSpec, Units
-from .pulses import _check_grid, _propagate, atom_dynamics, collective_rate_at_switchoff
-from .spectra import RECURSION_EPS, _check_passive, _recursion, transfer_unidirectional
+from .physics import EnsembleSpec, Units, single_atom_coefficients
+from .pulses import (
+    _atom_dynamics,
+    _check_grid,
+    _propagate,
+    _require_finite,
+    collective_rate_at_switchoff,
+)
+from .spectra import (
+    RECURSION_EPS,
+    _check_passive,
+    _integer_power,
+    _power_log,
+    _recursion,
+    transfer_unidirectional,
+)
 
 SETTLE_DELAY = Units().time_from_si(1e-9)      # skip the switch-off transient
 FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
@@ -70,6 +83,9 @@ def fit_pulse_decay(t, power, t_off, window_len, settle_delay=SETTLE_DELAY,
     power = np.asarray(power, dtype=float)
     if t.shape != power.shape:
         raise ValueError("time and power traces must have matching shapes")
+    _require_finite(t_off=t_off, settle_delay=settle_delay)
+    if not 0 < float(window_len) < math.inf:
+        raise ValueError(f"window_len must be finite and positive, got {window_len}")
     start = float(t_off) + float(settle_delay)
     i0 = int(np.searchsorted(t, start, side="right"))
     i1 = int(np.searchsorted(t, start + float(window_len), side="right"))
@@ -390,6 +406,8 @@ def fit_initial_decay(t, power, t_off, window_cap, settle_delay=SETTLE_DELAY) ->
     fast collective decays it keeps the window on the initial flash instead
     of the later ringing structure.
     """
+    if not 0 < float(window_cap) < math.inf:
+        raise ValueError(f"window_cap must be finite and positive, got {window_cap}")
     dt = float(np.asarray(t)[1] - np.asarray(t)[0])
     floor = MIN_INITIAL_POINTS * dt
     window = min(float(window_cap), max(BOOTSTRAP_WINDOW, floor))
@@ -412,11 +430,23 @@ def collective_decay_vs_od(pulse, od_values, beta, window_long, window_short, wi
     much faster) and then adapted by fit_initial_decay so the fit tracks
     the initial flash decay.  Gamma_coll is read at the default settle
     delay of collective_rate_at_switchoff.
+
+    Every OD raises the same single-atom transmission t to its own atom
+    number N, so log t is taken once for the sweep: for N >= 100 numpy's
+    t ** N is exp(N log t) bitwise, and below |N| = 100 numpy multiplies
+    repeatedly, which is kept (spectra._integer_power).  Each OD's t ** N
+    is written into one buffer and checked for passivity, as
+    transfer_unidirectional checks it.
     """
+    t = single_atom_coefficients(pulse.detunings(), beta)[0]
+    log_t = _power_log(t)
+    buffer = np.empty_like(log_t)
     points = []
     for od in od_values:
         ens = EnsembleSpec.from_od(od, beta)
-        traj = atom_dynamics(pulse, ens, trace_atoms=())
+        transmission = _integer_power(t, ens.n_atoms, log_t, out=buffer)
+        _check_passive(transmission)
+        traj = _atom_dynamics(pulse, ens, transmission, trace_atoms=())
         cap = window_long if od <= window_short_od else window_short
         fit = fit_initial_decay(pulse.t, traj.transmitted_power, pulse.switch_off, cap,
                                 settle_delay)

@@ -78,6 +78,8 @@ class PulseWaveform:
                              f"got {self.photon_number}")
         if not math.isfinite(self.carrier_detuning):
             raise ValueError(f"carrier_detuning must be finite, got {self.carrier_detuning}")
+        if self.switch_off is not None and not math.isfinite(self.switch_off):
+            raise ValueError(f"switch_off must be finite or None, got {self.switch_off}")
         dt = t[1] - t[0]
         energy = float(np.sum(np.abs(envelope) ** 2) * dt)
         if abs(energy - self.photon_number) > 1e-9 * max(self.photon_number, 1e-300):
@@ -91,10 +93,10 @@ class PulseWaveform:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    @property
+    @cached_property
     def omega(self):
-        """Angular baseband frequency of each FFT bin, in FFT order."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.t.size, d=self.dt)
+        """Angular baseband frequency of each FFT bin, in FFT order (read-only)."""
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.t.size, d=self.dt))
 
     @cached_property
     def spectrum(self):
@@ -119,10 +121,11 @@ class PulseWaveform:
         """This envelope at another carrier detuning.
 
         The spectrum depends on the envelope alone, so the new pulse shares
-        this pulse's (computed here if it was not yet).
+        this pulse's (computed here if it was not yet), and so does omega.
         """
         pulse = replace(self, carrier_detuning=float(carrier_detuning))
         pulse.__dict__["spectrum"] = self.spectrum
+        pulse.__dict__["omega"] = self.omega
         return pulse
 
     def power(self):
@@ -155,6 +158,7 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
         raise ValueError(f"rise_fall {rise_fall} must be shorter than duration {duration}")
     if not 0 <= float(photon_number) < math.inf:
         raise ValueError(f"photon_number must be finite and non-negative, got {photon_number}")
+    _require_finite(start=start)
     dt = t[1] - t[0]
     if rise_fall > 0 and rise_fall < MIN_EDGE_SAMPLES * dt:
         raise ValueError(
@@ -194,6 +198,13 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
     env = env.astype(complex) * math.sqrt(photon_number / energy)
     return PulseWaveform(t, env, float(carrier_detuning), float(photon_number),
                          switch_off=float(footprint[1]))
+
+
+def _require_finite(**values):
+    """Raise a ValueError naming the first of values that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(float(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _read_only(array):
@@ -246,10 +257,11 @@ def _check_grid(pulse: PulseWaveform, delta):
 def _propagate(pulse: PulseWaveform, amplitude):
     """The output field of propagate_pulse, unchecked: amplitude must be
     sampled on pulse.detunings() (_check_grid) and passive."""
-    # named, because numpy multiplies into a large unnamed temporary in
-    # place with the operands swapped, which rounds some last bits otherwise
-    response = np.fft.ifftshift(amplitude)
-    return np.fft.ifft(pulse.spectrum * response)
+    # in place on the shifted copy, the spectrum still the first operand:
+    # numpy's complex product rounds some last bits differently swapped
+    field = np.fft.ifftshift(amplitude)
+    np.multiply(pulse.spectrum, field, out=field)
+    return np.fft.ifft(field, out=field)
 
 
 @dataclass(frozen=True)
@@ -305,8 +317,16 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     trace_atoms selects which atoms to store (0-based; None = all, () =
     none); trace_stride subsamples the stored traces in time.
     """
-    spectrum, omega = pulse.spectrum, pulse.omega
-    delta = pulse.carrier_detuning + omega
+    transmission = transfer_unidirectional(pulse.detunings(), ensemble).amplitude
+    return _atom_dynamics(pulse, ensemble, transmission, trace_atoms, trace_stride)
+
+
+def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec, transmission,
+                   trace_atoms=None, trace_stride=1) -> AtomTrajectorySet:
+    """atom_dynamics given the cascade's transmission t^N, unchecked: it must
+    be sampled on pulse.detunings() and passive.  It is only read, so a
+    caller may reuse its buffer once this returns."""
+    omega = pulse.omega
     n_atoms = ensemble.n_atoms
     if trace_atoms is None:
         selected = np.arange(n_atoms)
@@ -319,22 +339,28 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
         raise ValueError("trace_stride must be >= 1")
     trace_t = pulse.t[::stride]
     traces = np.empty((selected.size, trace_t.size))
-    keep = {int(a): row for row, a in enumerate(selected)}
 
-    transmitted = np.abs(_propagate(
-        pulse, transfer_unidirectional(pulse.detunings(), ensemble).amplitude)) ** 2
-    flux = pulse.power() - transmitted
+    transmitted = np.abs(_propagate(pulse, transmission)) ** 2
+    flux = pulse.power()
+    flux -= transmitted
     loss_rate = 1.0 - ensemble.beta
-    energy = np.fft.ifft(np.fft.fft(flux) / (1j * omega + loss_rate)).real
-    # range first, so the generator stops after the last requested atom
-    for n, phi in zip(range(selected[-1] + 1 if selected.size else 0),
-                      _cascade_amplitudes(delta, ensemble)):
-        if n in keep:
-            traces[keep[n]] = _strided_power(spectrum * phi, stride)
-    de_dt = flux - loss_rate * energy
+    # the balance in frequency, fft(flux) / (i omega + loss_rate), in place
+    energy = flux.astype(complex)
+    np.fft.fft(energy, out=energy)
+    energy /= 1j * omega + loss_rate
+    energy = np.fft.ifft(energy, out=energy).real
+    if selected.size:
+        keep = {int(a): row for row, a in enumerate(selected)}
+        # range first, so the generator stops after the last requested atom
+        for n, phi in zip(range(selected[-1] + 1),
+                          _cascade_amplitudes(pulse.carrier_detuning + omega, ensemble)):
+            if n in keep:
+                traces[keep[n]] = _strided_power(pulse.spectrum * phi, stride)
+    de_dt = flux
+    de_dt -= loss_rate * energy
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))
     gamma = np.full(pulse.t.size, np.nan)
-    gamma[valid] = -de_dt[valid] / energy[valid]
+    np.divide(np.negative(de_dt, out=de_dt), energy, out=gamma, where=valid)
     return AtomTrajectorySet(pulse.t, transmitted, energy, gamma, valid, trace_t, traces, selected)
 
 
@@ -344,6 +370,7 @@ def collective_rate_at_switchoff(traj: AtomTrajectorySet, t_off, settle_delay=0.
     The small settle delay skips the switch-off edge transient; it must be
     short against the fastest collective decay of interest.
     """
+    _require_finite(t_off=t_off, settle_delay=settle_delay)
     target = float(t_off) + float(settle_delay)
     if target < traj.t[0] or target > traj.t[-1]:
         raise ValueError(f"evaluation time {target} outside the trace window")

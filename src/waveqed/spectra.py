@@ -95,15 +95,49 @@ class TransferSpectrum:
         return np.abs(self.amplitude) ** 2
 
 
+# numpy raises a complex array to an integer power n by repeated
+# multiplication when |n| is below this, and by libm's cpow, which is
+# exp(n log t), from it on
+_LOG_POWER_MIN = 100
+
+
+def _power_log(t):
+    """np.log(t) for _integer_power; t = 0 (beta = 1/2 on resonance) gives -inf quietly."""
+    with np.errstate(divide="ignore"):
+        return np.log(t)
+
+
+def _integer_power(t, n, log_t=None, out=None):
+    """t ** n for an integer n >= 0, bitwise as numpy computes it.
+
+    From n = _LOG_POWER_MIN on, numpy's t ** n is exp(n log t), so a caller
+    raising one t to several such n passes log_t = _power_log(t) and takes
+    the log once; below it, t ** n.  The exp is written into out (a fresh
+    array if None, the log's own if log_t is not given).
+    """
+    if n < _LOG_POWER_MIN:
+        return t ** n
+    if log_t is None:
+        log_t = out = _power_log(t)
+    with np.errstate(invalid="ignore"):  # n (-inf + 0j) has a NaN imaginary part
+        out = np.multiply(log_t, n, out=out)
+    np.exp(out, out=out)
+    out[t == 0] = 0  # numpy's 0 ** n is +0 + 0j; exp(-inf + NaN j) may carry -0j
+    return out
+
+
 def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
     """Forward amplitude transmission of the cascade.
 
     t_N(delta) = (1 - beta / (1/2 + i delta))^N
 
-    Independent of the positional phases.
+    Independent of the positional phases.  For N >= 100 the power is
+    exp(N log t), bitwise equal to numpy's t ** N (numpy takes libm's cpow
+    there, and multiplies repeatedly below |N| = 100), so an OD sweep can
+    take log t once for every N (_integer_power).
     """
-    return TransferSpectrum(delta, single_atom_coefficients(delta, ensemble.beta)[0]
-                            ** ensemble.n_atoms)
+    return TransferSpectrum(delta, _integer_power(
+        single_atom_coefficients(delta, ensemble.beta)[0], ensemble.n_atoms))
 
 
 def _cascade_amplitudes(delta, ensemble: EnsembleSpec):

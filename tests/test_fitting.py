@@ -9,8 +9,11 @@ from waveqed import (
     EnsembleSpec,
     TransferSpectrum,
     Units,
+    atom_dynamics,
     average_observable,
     backward_decay_sweep,
+    collective_decay_vs_od,
+    collective_rate_at_switchoff,
     config_from_dict,
     fit_initial_decay,
     fit_pulse_decay,
@@ -23,7 +26,7 @@ from waveqed import (
     transfer_cavity,
     transfer_unidirectional,
 )
-from waveqed import fitting
+from waveqed import fitting, scenarios
 from waveqed.disorder import sample_configuration
 from waveqed.fitting import FLASH_WINDOW, SETTLE_DELAY
 
@@ -236,6 +239,46 @@ class TestSharedGridSweep:
         groups = fitting._shared_grids(small_pulses((0.5, 600.5)))
         assert [len(members) for _, members in groups] == [1, 1]
         assert all(grid.size == SMALL_GRID["grid_points"] for grid, _ in groups)
+
+
+class TestOdSweep:
+    def test_matches_per_od_atom_dynamics_with_one_complex_log(self, monkeypatch):
+        # fig3's pulse and windows; the ODs unsorted, repeated, and one of
+        # them (2, 90 atoms) below numpy's repeated-multiplication limit
+        config = config_from_dict({"scenario": "fig3"})
+        pulse = scenarios._pulse(config, config.detuning)
+        ods, beta, threshold = (34.0, 2.0, 34.0, 5.0), config.beta, config.fit_od_threshold
+        long_cap, short_cap = (scenarios._ns(config, config.fit_window_ns),
+                               scenarios._ns(config, config.fit_window_short_ns))
+        settle = scenarios._ns(config, config.settle_ns)
+        logs = []
+        log = np.log
+
+        def counted(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                logs.append(np.shape(x))
+            return log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counted)
+        points = collective_decay_vs_od(pulse, ods, beta, long_cap, short_cap, threshold,
+                                        settle)
+        assert logs == [pulse.t.shape]  # log t once per sweep, not once per OD
+        monkeypatch.undo()
+
+        assert [p.od for p in points] == list(ods)
+        for point, od in zip(points, ods):
+            ens = EnsembleSpec.from_od(od, beta)
+            traj = atom_dynamics(pulse, ens, trace_atoms=())
+            cap = long_cap if od <= threshold else short_cap
+            fit = fit_initial_decay(pulse.t, traj.transmitted_power, pulse.switch_off, cap,
+                                    settle)
+            assert point.n_atoms == ens.n_atoms
+            assert (point.pulse_fit.rate, point.pulse_fit.amplitude, point.pulse_fit.window,
+                    point.pulse_fit.rms_residual) == (fit.rate, fit.amplitude, fit.window,
+                                                      fit.rms_residual)
+            assert np.array_equal(point.pulse_fit.residuals, fit.residuals)
+            assert point.gamma_coll == collective_rate_at_switchoff(traj, pulse.switch_off)
+        assert points[1].n_atoms < 100 <= points[3].n_atoms
 
 
 class TestRingMultipass:

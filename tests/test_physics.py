@@ -10,7 +10,11 @@ from waveqed import (
     DecayFit,
     EnsembleSpec,
     Units,
+    atom_dynamics,
+    collective_rate_at_switchoff,
     detuning_grid,
+    fit_initial_decay,
+    fit_pulse_decay,
     od_to_atom_number,
     resonant_od,
     single_atom_coefficients,
@@ -147,6 +151,17 @@ def _pulse(duration=3.0, rise_fall=0.2, photon_number=1.0):
 NAN = float("nan")
 
 
+# a decaying trace with samples every 0.01, switched off at 1.0
+_T = np.arange(1000) * 0.01
+_DECAY = np.exp(-np.clip(_T - 1.0, 0.0, None))
+
+
+def _rate_at_switchoff(**overrides):
+    pulse = _pulse()
+    traj = atom_dynamics(pulse, EnsembleSpec.uniform(10, 0.01), trace_atoms=())
+    return collective_rate_at_switchoff(traj, **{"t_off": pulse.switch_off, **overrides})
+
+
 def _fit(**overrides):
     fit = DecayFit(rate=1.0, amplitude=1.0, window=(0.0, 1.0), rms_residual=0.0,
                    t=np.array([0.0, 1.0]), residuals=np.zeros(2))
@@ -185,10 +200,29 @@ def _fit(**overrides):
     pytest.param("amplitude", lambda: _fit(amplitude=math.inf), id="fit-amplitude-inf"),
     pytest.param("rms_residual", lambda: _fit(rms_residual=NAN), id="fit-rms-nan"),
     pytest.param("rms_residual", lambda: _fit(rms_residual=math.inf), id="fit-rms-inf"),
+    pytest.param("window_len", lambda: fit_pulse_decay(_T, _DECAY, 1.0, NAN),
+                 id="fit-window_len-nan"),
+    pytest.param("window_cap", lambda: fit_initial_decay(_T, _DECAY, 1.0, NAN),
+                 id="fit-window_cap-nan"),
+    pytest.param("t_off", lambda: fit_pulse_decay(_T, _DECAY, NAN, 1.0), id="fit-t_off-nan"),
+    pytest.param("t_off", lambda: _rate_at_switchoff(t_off=NAN), id="switchoff-t_off-nan"),
+    pytest.param("settle_delay", lambda: _rate_at_switchoff(settle_delay=NAN),
+                 id="switchoff-settle_delay-nan"),
+    pytest.param("switch_off", lambda: replace(_pulse(), switch_off=NAN), id="switch_off-nan"),
+    pytest.param("switch_off", lambda: replace(_pulse(), switch_off=math.inf),
+                 id="switch_off-inf"),
+    pytest.param("start", lambda: synthesize_pulse(time_grid(256.0, 2 ** 12), 3.0, 0.2,
+                                                   start=NAN), id="start-nan"),
 ])
 def test_nan_and_inf_rejected_naming_the_parameter(name, build):
     with pytest.raises(ValueError, match=name):
         build()
+
+
+def test_switch_off_may_stay_unknown_and_the_valid_calls_still_run():
+    assert replace(_pulse(), switch_off=None).switch_off is None
+    assert _rate_at_switchoff() > 0
+    assert fit_initial_decay(_T, _DECAY, 1.0, 1.0).rate == pytest.approx(1.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("build", [

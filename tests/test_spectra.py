@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import re
 import warnings
@@ -31,6 +32,7 @@ from waveqed.spectra import (
     _truncation_degree,
 )
 
+from golden import GOLDEN
 from oracles import linear_system_solution, transfer_matrix_solution
 
 
@@ -100,6 +102,39 @@ class TestUnidirectional:
         b = transfer_unidirectional(
             g, EnsembleSpec(beta=0.01, phase=rng.uniform(0, 6, 20)))
         assert np.array_equal(a.amplitude, b.amplitude)
+
+
+class TestIntegerPower:
+    def test_equals_numpy_power_bitwise(self):
+        # numpy's t ** n is libm's exp(n log t) from n = 100 on and repeated
+        # multiplication below: a property of numpy and libm, so bitwise only
+        # under the numpy that wrote the pinned outputs (test_golden.py)
+        config = scenarios.config_from_dict({"scenario": "fig3"})
+        counts = [od_to_atom_number(od, config.beta) for od in config.od_values]
+        assert len(counts) == 12 and min(counts) < 100 < max(counts)
+        t = single_atom_coefficients(detuning_grid(config.span, config.grid_points),
+                                     config.beta)[0]
+        log_t = spectra._power_log(t)
+        pinned = json.loads(GOLDEN.read_text())["numpy"] == np.__version__
+        for n in [1, 2, 99, 100, 101] + counts:
+            expected = t ** n
+            for power in (spectra._integer_power(t, n),
+                          spectra._integer_power(t, n, log_t, out=np.empty_like(t))):
+                if pinned:
+                    assert power.tobytes() == expected.tobytes(), n
+                else:
+                    assert np.allclose(power, expected, rtol=1e-10, atol=0.0), n
+
+    def test_zero_transmission_is_a_quiet_positive_zero(self):
+        # beta = 1/2 on resonance: t = 0, whose log is -inf
+        t = single_atom_coefficients(np.array([-1.0, 0.0, 1.0]), 0.5)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            power = spectra._integer_power(t, 150)
+        assert power[1:2].tobytes() == (t[1:2] ** 150).tobytes() == np.zeros(1, complex).tobytes()
+        assert np.allclose(power, t ** 150, rtol=1e-12, atol=0.0)
+        assert transfer_unidirectional(detuning_grid(1.0, 8),
+                                       EnsembleSpec.uniform(150, 0.5)).amplitude[4] == 0
 
 
 class TestExcitationAmplitudes:
