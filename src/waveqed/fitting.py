@@ -432,11 +432,9 @@ def collective_decay_vs_od(pulse, od_values, beta, window_long, window_short, wi
     delay of collective_rate_at_switchoff.
 
     Every OD raises the same single-atom transmission t to its own atom
-    number N, so log t is taken once for the sweep: for N >= 100 numpy's
-    t ** N is exp(N log t) bitwise, and below |N| = 100 numpy multiplies
-    repeatedly, which is kept (spectra._integer_power).  Each OD's t ** N
-    is written into one buffer and checked for passivity, as
-    transfer_unidirectional checks it.
+    number N, so log t is taken once per sweep and each OD's t ** N comes
+    from spectra._integer_power, written into one buffer and checked for
+    passivity as transfer_unidirectional checks it.
     """
     t = single_atom_coefficients(pulse.detunings(), beta)[0]
     log_t = _power_log(t)

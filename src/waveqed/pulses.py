@@ -93,10 +93,10 @@ class PulseWaveform:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    @cached_property
+    @property
     def omega(self):
-        """Angular baseband frequency of each FFT bin, in FFT order (read-only)."""
-        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.t.size, d=self.dt))
+        """Angular baseband frequency of each FFT bin, in FFT order."""
+        return 2.0 * math.pi * np.fft.fftfreq(self.t.size, d=self.dt)
 
     @cached_property
     def spectrum(self):
@@ -121,11 +121,10 @@ class PulseWaveform:
         """This envelope at another carrier detuning.
 
         The spectrum depends on the envelope alone, so the new pulse shares
-        this pulse's (computed here if it was not yet), and so does omega.
+        this pulse's (computed here if it was not yet).
         """
         pulse = replace(self, carrier_detuning=float(carrier_detuning))
         pulse.__dict__["spectrum"] = self.spectrum
-        pulse.__dict__["omega"] = self.omega
         return pulse
 
     def power(self):
@@ -261,7 +260,7 @@ def _propagate(pulse: PulseWaveform, amplitude):
     # numpy's complex product rounds some last bits differently swapped
     field = np.fft.ifftshift(amplitude)
     np.multiply(pulse.spectrum, field, out=field)
-    return np.fft.ifft(field, out=field)
+    return np.fft.ifft(field)
 
 
 @dataclass(frozen=True)
@@ -317,8 +316,9 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     trace_atoms selects which atoms to store (0-based; None = all, () =
     none); trace_stride subsamples the stored traces in time.
     """
-    transmission = transfer_unidirectional(pulse.detunings(), ensemble).amplitude
-    return _atom_dynamics(pulse, ensemble, transmission, trace_atoms, trace_stride)
+    return _atom_dynamics(pulse, ensemble,
+                          transfer_unidirectional(pulse.detunings(), ensemble).amplitude,
+                          trace_atoms, trace_stride)
 
 
 def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec, transmission,
@@ -341,14 +341,16 @@ def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec, transmission,
     traces = np.empty((selected.size, trace_t.size))
 
     transmitted = np.abs(_propagate(pulse, transmission)) ** 2
+    # atom_dynamics passes t^N in the call, so this frees it before the
+    # energy solve and the traces: fewer fresh pages on large grids
+    del transmission
     flux = pulse.power()
     flux -= transmitted
     loss_rate = 1.0 - ensemble.beta
-    # the balance in frequency, fft(flux) / (i omega + loss_rate), in place
-    energy = flux.astype(complex)
-    np.fft.fft(energy, out=energy)
+    # the balance in frequency, fft(flux) / (i omega + loss_rate)
+    energy = np.fft.fft(flux)
     energy /= 1j * omega + loss_rate
-    energy = np.fft.ifft(energy, out=energy).real
+    energy = np.fft.ifft(energy).real
     if selected.size:
         keep = {int(a): row for row, a in enumerate(selected)}
         # range first, so the generator stops after the last requested atom

@@ -110,11 +110,15 @@ def _power_log(t):
 def _integer_power(t, n, log_t=None, out=None):
     """t ** n for an integer n >= 0, bitwise as numpy computes it.
 
-    From n = _LOG_POWER_MIN on, numpy's t ** n is exp(n log t), so a caller
-    raising one t to several such n passes log_t = _power_log(t) and takes
-    the log once; below it, t ** n.  The exp is written into out (a fresh
-    array if None, the log's own if log_t is not given).
+    From n = _LOG_POWER_MIN on, numpy's t ** n is exp(n log t).  A caller
+    raising one t to several such n passes log_t = _power_log(t), taken
+    once, together with a buffer out of t's shape that receives the exp;
+    a caller passing neither gets the log taken here, its array holding the
+    exp.  Below _LOG_POWER_MIN the result is a new array t ** n and out is
+    not written.
     """
+    if (log_t is None) != (out is None):
+        raise TypeError("pass log_t and out together, or neither")
     if n < _LOG_POWER_MIN:
         return t ** n
     if log_t is None:

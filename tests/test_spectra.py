@@ -136,6 +136,13 @@ class TestIntegerPower:
         assert transfer_unidirectional(detuning_grid(1.0, 8),
                                        EnsembleSpec.uniform(150, 0.5)).amplitude[4] == 0
 
+    def test_log_and_buffer_come_together(self):
+        t = single_atom_coefficients(np.array([-1.0, 0.0, 1.0]), 0.1)[0]
+        with pytest.raises(TypeError, match="together"):
+            spectra._integer_power(t, 150, out=np.empty_like(t))
+        with pytest.raises(TypeError, match="together"):
+            spectra._integer_power(t, 150, spectra._power_log(t))
+
 
 class TestExcitationAmplitudes:
     def test_first_atom_modulus(self):
