@@ -206,6 +206,14 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_integer(name, value) -> int:
+    """int(value), or a ValueError naming name unless value is a Python or
+    numpy integer (a bool, a float and a NaN are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _read_only(array):
     array.flags.writeable = False
     return array
@@ -304,8 +312,10 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     """Excited-state probability of each atom driven by a pulse.
 
     p_n(t) = | F^{-1}[ u(delta) * phi_n(delta) ] |^2 with the cascade
-    amplitudes phi_n of spectra.excitation_amplitudes, normalized so p_n is
-    a probability for the pulse photon number (linear regime).
+    amplitudes phi_n = i t^(n-1) (t - 1) / sqrt(beta), normalized so p_n is
+    a probability for the pulse photon number (linear regime).  The product
+    u * phi_n is spectra._cascade_amplitudes' running product weighted by
+    u: one grid-sized multiply per atom.
 
     The stored energy obeys the cascade's input-output balance
     dE/dt = P_in - P_out - (1 - beta) E (Gardiner 1993; Carmichael 1993),
@@ -313,8 +323,8 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
     and E is one FFT solve of the balance: no per-atom transform runs
     unless a trace is asked for.
 
-    trace_atoms selects which atoms to store (0-based; None = all, () =
-    none); trace_stride subsamples the stored traces in time.
+    trace_atoms selects which atoms to store (0-based integers; None = all,
+    () = none); the integer trace_stride subsamples the stored traces in time.
     """
     return _atom_dynamics(pulse, ensemble,
                           transfer_unidirectional(pulse.detunings(), ensemble).amplitude,
@@ -331,10 +341,11 @@ def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec, transmission,
     if trace_atoms is None:
         selected = np.arange(n_atoms)
     else:
-        selected = np.asarray(sorted(set(int(a) for a in trace_atoms)), dtype=int)
+        selected = np.asarray(sorted({_require_integer("trace_atoms entry", a)
+                                      for a in trace_atoms}), dtype=int)
         if selected.size and (selected[0] < 0 or selected[-1] >= n_atoms):
             raise ValueError(f"trace_atoms out of range for {n_atoms} atoms")
-    stride = int(trace_stride)
+    stride = _require_integer("trace_stride", trace_stride)
     if stride < 1:
         raise ValueError("trace_stride must be >= 1")
     trace_t = pulse.t[::stride]
@@ -354,10 +365,10 @@ def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec, transmission,
     if selected.size:
         keep = {int(a): row for row, a in enumerate(selected)}
         # range first, so the generator stops after the last requested atom
-        for n, phi in zip(range(selected[-1] + 1),
-                          _cascade_amplitudes(pulse.carrier_detuning + omega, ensemble)):
+        for n, q in zip(range(selected[-1] + 1), _cascade_amplitudes(
+                pulse.carrier_detuning + omega, ensemble, pulse.spectrum)):
             if n in keep:
-                traces[keep[n]] = _strided_power(pulse.spectrum * phi, stride)
+                traces[keep[n]] = _strided_power(q, stride)
     de_dt = flux
     de_dt -= loss_rate * energy
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))

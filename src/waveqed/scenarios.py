@@ -29,8 +29,8 @@ from .fitting import (
     roundtrip_samples,
 )
 from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, od_to_atom_number, resonant_od
-from .pulses import atom_dynamics, propagate_pulse, synthesize_pulse, time_grid
-from .spectra import CavitySpec, transfer_unidirectional
+from .pulses import _strided_power, atom_dynamics, propagate_pulse, synthesize_pulse, time_grid
+from .spectra import CavitySpec, _cascade_amplitudes, transfer_unidirectional
 
 SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "s1", "custom")
 
@@ -371,22 +371,32 @@ def _transmitted(config: ScenarioConfig, pulse, power) -> dict:
 def _run_fig2(config: ScenarioConfig) -> dict:
     ens = _ensemble(config)
     pulse = _pulse(config, config.detuning)
-    traj = atom_dynamics(pulse, ens, trace_stride=max(1, config.time_stride // 2))
+    traj = atom_dynamics(pulse, ens, trace_atoms=())
     tables = _transmitted(config, pulse, traj.transmitted_power)
 
+    # the traces hold every trace_stride-th grid sample and the colormap every
+    # map_stride-th, each only those before switch-off + _TAIL
+    trace_stride = max(1, config.time_stride // 2)
+    map_stride = config.time_stride * trace_stride
+    trace_t = pulse.t[_crop(pulse.t, pulse.switch_off + _TAIL, trace_stride)]
+    map_t = pulse.t[_crop(pulse.t, pulse.switch_off + _TAIL, map_stride)]
     # atoms past N clip to N; a label listed twice would repeat a column name
     labels = list(dict.fromkeys(min(a, ens.n_atoms) for a in config.trace_atoms))
-    rows = [np.searchsorted(traj.atom_indices, a - 1) for a in labels]
-    tr_idx = _crop(traj.trace_t, pulse.switch_off + _TAIL, 1)
-    tables["atom_traces"] = [("time", "ns", _ns_column(config, traj.trace_t[tr_idx]))] + [
-        (f"p_atom_{label}", "probability", traj.traces[row][tr_idx])
-        for label, row in zip(labels, rows)]
+    traces = {}
+    colormap = np.empty((ens.n_atoms, map_t.size))
+    # each atom's u * phi_n, transformed only at the samples written
+    for n, q in enumerate(_cascade_amplitudes(pulse.carrier_detuning + pulse.omega, ens,
+                                              pulse.spectrum), start=1):
+        colormap[n - 1] = _strided_power(q, map_stride)[:map_t.size]
+        if n in labels:
+            traces[n] = _strided_power(q, trace_stride)[:trace_t.size]
 
-    cm_idx = tr_idx[::config.time_stride]
+    tables["atom_traces"] = [("time", "ns", _ns_column(config, trace_t))] + [
+        (f"p_atom_{label}", "probability", traces[label]) for label in labels]
     tables["atom_colormap"] = [
-        ("atom", "index", np.repeat(traj.atom_indices + 1.0, cm_idx.size)),
-        ("time", "ns", np.tile(_ns_column(config, traj.trace_t[cm_idx]), traj.atom_indices.size)),
-        ("excited_probability", "probability", traj.traces[:, cm_idx].ravel())]
+        ("atom", "index", np.repeat(np.arange(1.0, ens.n_atoms + 1), map_t.size)),
+        ("time", "ns", np.tile(_ns_column(config, map_t), ens.n_atoms)),
+        ("excited_probability", "probability", colormap.ravel())]
     return tables
 
 

@@ -144,18 +144,23 @@ def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
         single_atom_coefficients(delta, ensemble.beta)[0], ensemble.n_atoms))
 
 
-def _cascade_amplitudes(delta, ensemble: EnsembleSpec):
-    """Yield each atom's cascade amplitude phi_n(delta), atom by atom.
+def _cascade_amplitudes(delta, ensemble: EnsembleSpec, weight=None):
+    """Yield weight * phi_n(delta) for each atom n = 1..N, as one running product.
 
-    phi_n = i t^(n-1) (t - 1) / sqrt(beta).  A caller that consumes them
-    one at a time never holds all N grid-sized rows at once.
+    phi_n = i t^(n-1) (t - 1) / sqrt(beta), so q_1 = weight i (t - 1) / sqrt(beta)
+    and q_{n+1} = q_n t: one grid-sized multiply per atom.  weight (1 if
+    None) is sampled on delta, such as a pulse spectrum.  Every atom's q is
+    the same array, multiplied in place when the generator resumes: a caller
+    that keeps an amplitude copies it, and none holds N grid-sized rows.
     """
-    prefix = np.ones(delta.size, dtype=complex)
     t = single_atom_coefficients(delta, ensemble.beta)[0]
-    t_minus_1 = t - 1.0
-    for _ in range(ensemble.n_atoms):
-        yield 1j * prefix * t_minus_1 / math.sqrt(ensemble.beta)
-        prefix *= t
+    q = (t - 1.0) * (1j / math.sqrt(ensemble.beta))
+    if weight is not None:
+        q *= weight
+    for n in range(ensemble.n_atoms):
+        if n:
+            q *= t
+        yield q
 
 
 def excitation_amplitudes(delta, ensemble: EnsembleSpec):

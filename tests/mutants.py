@@ -1,0 +1,104 @@
+"""Mutation gate: every mutant of src/ must make one of its named tests fail.
+
+    python tests/mutants.py       # from the repository root; prints each survivor
+
+A mutant is (file under src/, exact snippet, replacement, test node ids).
+For each one, src/ is copied to a temporary directory, the snippet (which
+must occur exactly once) is replaced, and the named tests run with
+PYTHONPATH pointing at the copy.  A mutant whose tests all pass survives.
+The named tests must pass on an unmutated copy first, or a failure would
+prove nothing.  The exit status is 1 if anything survived, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = (
+    ("the running product starts one atom late",
+     "src/waveqed/spectra.py",
+     "q = (t - 1.0) * (1j / math.sqrt(ensemble.beta))",
+     "q = (t - 1.0) * t * (1j / math.sqrt(ensemble.beta))",
+     ("tests/test_spectra.py::TestExcitationAmplitudes",
+      "tests/test_pulses.py::TestAtomDynamics::test_matches_ode_cascade")),
+    ("the weight is dropped",
+     "src/waveqed/spectra.py",
+     "        q *= weight\n",
+     "        pass\n",
+     ("tests/test_scenarios.py::TestRunScenario::"
+      "test_fig2_samples_each_atoms_full_resolution_excitation",)),
+    ("the colormap is folded at the trace stride",
+     "src/waveqed/scenarios.py",
+     "_strided_power(q, map_stride)",
+     "_strided_power(q, trace_stride)",
+     ("tests/test_scenarios.py::TestRunScenario::"
+      "test_fig2_samples_each_atoms_full_resolution_excitation",)),
+    ("exp(N log t) from N = 50, where numpy still multiplies repeatedly",
+     "src/waveqed/spectra.py",
+     "_LOG_POWER_MIN = 100",
+     "_LOG_POWER_MIN = 50",
+     ("tests/test_spectra.py::TestIntegerPower",)),
+    ("the trace_stride check lets 2.5 pass",
+     "src/waveqed/pulses.py",
+     "not isinstance(value, (int, np.integer))",
+     "not isinstance(value, (int, float, np.integer))",
+     ("tests/test_physics.py::test_non_integer_trace_arguments_rejected_naming_the_parameter",)),
+)
+
+
+def _copy_src(directory: Path) -> Path:
+    shutil.copytree(ROOT / "src", directory / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return directory / "src"
+
+
+def _run_tests(src: Path, node_ids) -> bool:
+    """True if every named test passes against the waveqed in src."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]),
+        "PYTHONDONTWRITEBYTECODE": "1"}
+    where = subprocess.run([sys.executable, "-c", "import waveqed; print(waveqed.__file__)"],
+                           env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).is_relative_to(src):
+        raise RuntimeError(f"waveqed imports from {where.stdout.strip()}, not from {src}")
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                             *node_ids], env=env, cwd=ROOT, capture_output=True, text=True)
+    return result.returncode == 0
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        node_ids = sorted({node for *_, nodes in MUTANTS for node in nodes})
+        if not _run_tests(_copy_src(Path(tmp) / "unmutated"), node_ids):
+            print("the named tests fail on unmutated src/; no mutant can be judged")
+            return 1
+        survivors = []
+        for i, (name, file, snippet, replacement, nodes) in enumerate(MUTANTS):
+            src = _copy_src(Path(tmp) / str(i))
+            path = src.parent / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(snippet) != 1:
+                raise RuntimeError(f"{name}: snippet found {text.count(snippet)} times in {file}")
+            path.write_text(text.replace(snippet, replacement), encoding="utf-8")
+            killed = not _run_tests(src, nodes)
+            print(f"{'killed' if killed else 'SURVIVED'}: {name}")
+            if not killed:
+                survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    for name in survivors:
+        print(f"survivor: {name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

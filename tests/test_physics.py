@@ -219,6 +219,30 @@ def test_nan_and_inf_rejected_naming_the_parameter(name, build):
         build()
 
 
+def _traced(**arguments):
+    return atom_dynamics(_pulse(), EnsembleSpec.uniform(3, 0.01), **arguments)
+
+
+@pytest.mark.parametrize("name, arguments", [
+    pytest.param("trace_stride", {"trace_stride": 2.5}, id="stride-float"),
+    pytest.param("trace_stride", {"trace_stride": True}, id="stride-bool"),
+    pytest.param("trace_stride", {"trace_stride": NAN}, id="stride-nan"),
+    pytest.param("trace_atoms", {"trace_atoms": (1.5,)}, id="atoms-float"),
+    pytest.param("trace_atoms", {"trace_atoms": (0, True)}, id="atoms-bool"),
+    pytest.param("trace_atoms", {"trace_atoms": (NAN,)}, id="atoms-nan"),
+])
+def test_non_integer_trace_arguments_rejected_naming_the_parameter(name, arguments):
+    # int() would truncate 2.5 to 2 and 1.5 to 1, and take True as 1
+    with pytest.raises(ValueError, match=name):
+        _traced(**arguments)
+
+
+def test_numpy_integer_trace_arguments_accepted():
+    traj = _traced(trace_atoms=(np.int32(0), np.uint8(2)), trace_stride=np.int64(2))
+    assert np.array_equal(traj.atom_indices, [0, 2])
+    assert np.array_equal(traj.traces, _traced(trace_atoms=(0, 2), trace_stride=2).traces)
+
+
 def test_switch_off_may_stay_unknown_and_the_valid_calls_still_run():
     assert replace(_pulse(), switch_off=None).switch_off is None
     assert _rate_at_switchoff() > 0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from waveqed import (
     collective_decay_vs_od,
     config_from_dict,
     config_to_dict,
+    excitation_amplitudes,
     od_to_atom_number,
     parse_config,
     resonant_od,
@@ -25,7 +27,7 @@ from waveqed import (
     synthesize_pulse,
     time_grid,
 )
-from waveqed import fitting, pulses, scenarios
+from waveqed import fitting, pulses, scenarios, spectra
 from waveqed.cli import main
 from waveqed.scenarios import SCENARIOS
 
@@ -304,6 +306,66 @@ class TestRunScenario:
         files = run_scenario(config_from_dict(raw))
         header = files["atom_traces"].read_text().splitlines()[1].split(",")
         assert header == ["time_ns", "p_atom_1_probability", "p_atom_50_probability"]
+
+    @pytest.mark.parametrize("time_stride, map_points, trace_points", [
+        # the colormap folds onto 4096 / 32 bins and the traces onto 4096 / 4
+        pytest.param(8, 128, 1024, id="folded"),
+        # 3 does not divide the grid: the colormap is sliced from full transforms
+        pytest.param(3, 4096, 4096, id="sliced"),
+    ])
+    def test_fig2_samples_each_atoms_full_resolution_excitation(
+            self, tmp_path, monkeypatch, time_stride, map_points, trace_points):
+        config = config_from_dict(tiny_custom(tmp_path, scenario="fig2",
+                                              output={"time_stride": time_stride}))
+        pulse, ens = scenarios._pulse(config, config.detuning), scenarios._ensemble(config)
+        drawn, transforms = [], []
+        cascade, ifft = spectra._cascade_amplitudes, np.fft.ifft
+
+        def counted_cascade(*args):
+            for q in cascade(*args):
+                drawn.append(1)
+                yield q
+
+        def counted_ifft(a, *args, **kwargs):
+            transforms.append(np.shape(a)[-1])
+            return ifft(a, *args, **kwargs)
+
+        for module in (scenarios, pulses):
+            monkeypatch.setattr(module, "_cascade_amplitudes", counted_cascade)
+        monkeypatch.setattr(np.fft, "ifft", counted_ifft)
+        files = run_scenario(config)
+        monkeypatch.undo()
+
+        # one walk of the cascade: one transform per atom at the colormap's
+        # stride, one more per labeled atom, and the propagation and energy solve
+        labels = [1, ens.n_atoms]  # the default atoms 1, 100 and 600, clipped
+        assert len(drawn) <= ens.n_atoms
+        assert Counter(transforms) == Counter({pulse.t.size: 2}) + Counter(
+            {map_points: ens.n_atoms}) + Counter({trace_points: len(labels)})
+
+        # p_n(t) at every grid sample, from the cascade amplitudes of spectra
+        phi = excitation_amplitudes(pulse.carrier_detuning + pulse.omega, ens)
+        p = np.abs(np.fft.ifft(pulse.spectrum * phi, axis=1)) ** 2
+        before_tail = int(np.count_nonzero(pulse.t < pulse.switch_off + scenarios._TAIL))
+        t_ns = scenarios._ns_column(config, pulse.t)
+        trace_stride = max(1, time_stride // 2)
+
+        cm_idx = np.arange(0, before_tail, time_stride * trace_stride)
+        atom, time, excited = np.genfromtxt(files["atom_colormap"], delimiter=",",
+                                            skip_header=2).T
+        assert np.array_equal(atom, np.repeat(np.arange(1, ens.n_atoms + 1), cm_idx.size))
+        assert np.array_equal(time, np.tile(t_ns[cm_idx], ens.n_atoms))
+        expected = p[:, cm_idx].ravel()
+        assert np.max(np.abs(excited - expected)) <= 1e-14 * np.max(excited)
+
+        tr_idx = np.arange(0, before_tail, trace_stride)
+        header = files["atom_traces"].read_text().splitlines()[1].split(",")
+        assert header == ["time_ns"] + [f"p_atom_{a}_probability" for a in labels]
+        traces = np.genfromtxt(files["atom_traces"], delimiter=",", skip_header=2).T
+        assert np.array_equal(traces[0], t_ns[tr_idx])
+        for label, trace in zip(labels, traces[1:]):
+            expected = p[label - 1, tr_idx]
+            assert np.max(np.abs(trace - expected)) <= 1e-14 * np.max(trace)
 
     @pytest.mark.parametrize("scenario, extra, cascades", [
         pytest.param("fig2", {}, 1, id="fig2"),
