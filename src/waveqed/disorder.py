@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it at import, not in a run)
 
-from .physics import BETA_DEFAULT, EnsembleSpec
+from .physics import BETA_DEFAULT, EnsembleSpec, _require_integer
 
 CHUNK_SIZE = 64  # configurations per reduction chunk; fixed for determinism
 
@@ -40,6 +40,8 @@ class DisorderModel:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integer("n_atoms", self.n_atoms)
+        _require_integer("seed", self.seed)
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be positive, got {self.n_atoms}")
         if not 0.0 < self.beta_mean <= 0.5:
@@ -50,7 +52,7 @@ class DisorderModel:
 
 def sample_configuration(model: DisorderModel, index: int) -> EnsembleSpec:
     """Deterministic configuration number ``index`` of the disorder model."""
-    index = int(index)
+    index = _require_integer("configuration index", index)
     if index < 0:
         raise ValueError(f"configuration index must be non-negative, got {index}")
     rng = np.random.default_rng(np.random.SeedSequence((model.seed, index)))
@@ -81,7 +83,8 @@ def average_observable(model: DisorderModel, n_configs: int, observable,
     and of evaluation order by construction: the chunk layout depends only
     on n_configs (about 32 chunks, at most CHUNK_SIZE configurations each).
     """
-    n_configs = int(n_configs)
+    n_configs = _require_integer("n_configs", n_configs)
+    n_workers = _require_integer("n_workers", n_workers)
     if n_configs < 1:
         raise ValueError("n_configs must be positive")
     chunk_size = max(1, min(CHUNK_SIZE, -(-n_configs // 32)))
@@ -95,7 +98,7 @@ def average_observable(model: DisorderModel, n_configs: int, observable,
     # Partials are folded as map yields them, in fixed chunk order, so only
     # the running totals stay alive rather than every chunk's sums.
     parallel = n_workers > 1 and len(bounds) > 1
-    with ThreadPoolExecutor(max_workers=int(n_workers)) if parallel else nullcontext() as pool:
+    with ThreadPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
         count = total = m2 = 0
         parts = (pool.map if parallel else map)(run, bounds)
         for (start, stop), (part_sum, part_m2) in zip(bounds, parts):

@@ -444,7 +444,7 @@ def collective_decay_vs_od(pulse, od_values, beta, window_long, window_short, wi
         ens = EnsembleSpec.from_od(od, beta)
         transmission = _integer_power(t, ens.n_atoms, log_t, out=buffer)
         _check_passive(transmission)
-        traj = _atom_dynamics(pulse, ens, transmission, trace_atoms=())
+        traj = _atom_dynamics(pulse, ens, transmission)
         cap = window_long if od <= window_short_od else window_short
         fit = fit_initial_decay(pulse.t, traj.transmitted_power, pulse.switch_off, cap,
                                 settle_delay)

@@ -77,7 +77,7 @@ class EnsembleSpec:
     @classmethod
     def uniform(cls, n_atoms, beta=BETA_DEFAULT):
         """Ensemble of n_atoms identical emitters at zero phase."""
-        n_atoms = int(n_atoms)
+        n_atoms = _require_integer("n_atoms", n_atoms)
         if n_atoms < 1:
             raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
         return cls(beta=beta, phase=np.zeros(n_atoms))
@@ -86,6 +86,14 @@ class EnsembleSpec:
     def from_od(cls, od, beta=BETA_DEFAULT):
         """Uniform ensemble sized to a resonant optical depth."""
         return cls.uniform(od_to_atom_number(od, beta), beta=beta)
+
+
+def _require_integer(name, value) -> int:
+    """int(value), or a ValueError naming name unless value is a Python or
+    numpy integer (a bool, a float and a NaN are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def single_atom_coefficients(delta, beta=BETA_DEFAULT):
@@ -124,4 +132,4 @@ def resonant_od(n_atoms, beta=BETA_DEFAULT) -> float:
     """Resonant optical depth of n_atoms identical emitters, -2N ln(1-2beta)."""
     if not 0.0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 0.5) for the OD calibration")
-    return -2.0 * int(n_atoms) * math.log1p(-2.0 * beta)
+    return -2.0 * _require_integer("n_atoms", n_atoms) * math.log1p(-2.0 * beta)

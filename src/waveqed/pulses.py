@@ -102,8 +102,8 @@ class PulseWaveform:
     def spectrum(self):
         """FFT of the envelope, passed through the aliasing guard (read-only).
 
-        Computed once per pulse, like the detunings: every propagation and
-        atom_dynamics call on the pulse shares them.
+        Computed once per pulse, like the detunings: every propagation,
+        atom_dynamics and atom_spectra call on the pulse shares them.
         """
         spectrum = np.fft.fft(self.envelope)
         _check_alias(self, spectrum)
@@ -206,14 +206,6 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _require_integer(name, value) -> int:
-    """int(value), or a ValueError naming name unless value is a Python or
-    numpy integer (a bool, a float and a NaN are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _read_only(array):
     array.flags.writeable = False
     return array
@@ -273,15 +265,15 @@ def _propagate(pulse: PulseWaveform, amplitude):
 
 @dataclass(frozen=True)
 class AtomTrajectorySet:
-    """Per-atom excited-state dynamics plus derived ensemble traces.
+    """Ensemble traces of a pulse driving the forward cascade.
 
     energy is the total stored excitation E(t) = sum_n p_n(t) over all
     atoms of the ensemble, and gamma_coll = -dE/dt / E the collective rate,
     exact from the cascade's flux balance (see atom_dynamics).  gamma_coll
     is NaN wherever E falls below ENERGY_FLOOR of its maximum (mask in
     ``valid``).  transmitted_power is the output flux P_out(t) of the
-    cascade, as propagate_pulse gives it.  traces holds p_n(t) for the atoms
-    listed in atom_indices, sampled on trace_t (a possibly strided copy of t).
+    cascade, as propagate_pulse gives it.  The per-atom p_n(t) come from
+    atom_spectra.
     """
 
     t: np.ndarray
@@ -289,9 +281,19 @@ class AtomTrajectorySet:
     energy: np.ndarray
     gamma_coll: np.ndarray
     valid: np.ndarray
-    trace_t: np.ndarray
-    traces: np.ndarray
-    atom_indices: np.ndarray
+
+
+def atom_spectra(pulse: PulseWaveform, ensemble: EnsembleSpec):
+    """Yield u(delta) * phi_n(delta) for each atom n = 1..N, in FFT order.
+
+    phi_n = i t^(n-1) (t - 1) / sqrt(beta) are the cascade amplitudes,
+    normalized so that p_n(t) = |ifft(u phi_n)|^2 is the atom's
+    excited-state probability on pulse.t for the pulse photon number
+    (linear regime).  It is spectra._cascade_amplitudes weighted by the
+    pulse spectrum: one grid-sized multiply per atom, each atom yielded
+    as the same array (copy one to keep it).
+    """
+    yield from _cascade_amplitudes(pulse.carrier_detuning + pulse.omega, ensemble, pulse.spectrum)
 
 
 def _strided_power(spectrum, stride):
@@ -307,53 +309,28 @@ def _strided_power(spectrum, stride):
     return np.abs(np.fft.ifft(folded)) ** 2 / stride ** 2
 
 
-def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
-                  trace_atoms=None, trace_stride=1) -> AtomTrajectorySet:
-    """Excited-state probability of each atom driven by a pulse.
+def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec) -> AtomTrajectorySet:
+    """Stored excitation, collective rate and output flux of a pulse
+    driving the forward cascade.
 
-    p_n(t) = | F^{-1}[ u(delta) * phi_n(delta) ] |^2 with the cascade
-    amplitudes phi_n = i t^(n-1) (t - 1) / sqrt(beta), normalized so p_n is
-    a probability for the pulse photon number (linear regime).  The product
-    u * phi_n is spectra._cascade_amplitudes' running product weighted by
-    u: one grid-sized multiply per atom.
-
-    The stored energy obeys the cascade's input-output balance
+    The stored energy E = sum_n p_n obeys the cascade's input-output balance
     dE/dt = P_in - P_out - (1 - beta) E (Gardiner 1993; Carmichael 1993),
     the per-atom balances telescoped, so gamma_coll = -dE/dt / E is exact
-    and E is one FFT solve of the balance: no per-atom transform runs
-    unless a trace is asked for.
-
-    trace_atoms selects which atoms to store (0-based integers; None = all,
-    () = none); the integer trace_stride subsamples the stored traces in time.
+    and E is one FFT solve of the balance: no per-atom transform runs.
     """
     return _atom_dynamics(pulse, ensemble,
-                          transfer_unidirectional(pulse.detunings(), ensemble).amplitude,
-                          trace_atoms, trace_stride)
+                          transfer_unidirectional(pulse.detunings(), ensemble).amplitude)
 
 
-def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec, transmission,
-                   trace_atoms=None, trace_stride=1) -> AtomTrajectorySet:
+def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
+                   transmission) -> AtomTrajectorySet:
     """atom_dynamics given the cascade's transmission t^N, unchecked: it must
     be sampled on pulse.detunings() and passive.  It is only read, so a
     caller may reuse its buffer once this returns."""
     omega = pulse.omega
-    n_atoms = ensemble.n_atoms
-    if trace_atoms is None:
-        selected = np.arange(n_atoms)
-    else:
-        selected = np.asarray(sorted({_require_integer("trace_atoms entry", a)
-                                      for a in trace_atoms}), dtype=int)
-        if selected.size and (selected[0] < 0 or selected[-1] >= n_atoms):
-            raise ValueError(f"trace_atoms out of range for {n_atoms} atoms")
-    stride = _require_integer("trace_stride", trace_stride)
-    if stride < 1:
-        raise ValueError("trace_stride must be >= 1")
-    trace_t = pulse.t[::stride]
-    traces = np.empty((selected.size, trace_t.size))
-
     transmitted = np.abs(_propagate(pulse, transmission)) ** 2
     # atom_dynamics passes t^N in the call, so this frees it before the
-    # energy solve and the traces: fewer fresh pages on large grids
+    # energy solve: fewer fresh pages on large grids
     del transmission
     flux = pulse.power()
     flux -= transmitted
@@ -362,19 +339,12 @@ def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec, transmission,
     energy = np.fft.fft(flux)
     energy /= 1j * omega + loss_rate
     energy = np.fft.ifft(energy).real
-    if selected.size:
-        keep = {int(a): row for row, a in enumerate(selected)}
-        # range first, so the generator stops after the last requested atom
-        for n, q in zip(range(selected[-1] + 1), _cascade_amplitudes(
-                pulse.carrier_detuning + omega, ensemble, pulse.spectrum)):
-            if n in keep:
-                traces[keep[n]] = _strided_power(q, stride)
     de_dt = flux
     de_dt -= loss_rate * energy
     valid = energy >= ENERGY_FLOOR * float(np.max(energy))
     gamma = np.full(pulse.t.size, np.nan)
     np.divide(np.negative(de_dt, out=de_dt), energy, out=gamma, where=valid)
-    return AtomTrajectorySet(pulse.t, transmitted, energy, gamma, valid, trace_t, traces, selected)
+    return AtomTrajectorySet(pulse.t, transmitted, energy, gamma, valid)
 
 
 def collective_rate_at_switchoff(traj: AtomTrajectorySet, t_off, settle_delay=0.02) -> float:

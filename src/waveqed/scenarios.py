@@ -29,8 +29,15 @@ from .fitting import (
     roundtrip_samples,
 )
 from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, od_to_atom_number, resonant_od
-from .pulses import _strided_power, atom_dynamics, propagate_pulse, synthesize_pulse, time_grid
-from .spectra import CavitySpec, _cascade_amplitudes, transfer_unidirectional
+from .pulses import (
+    _strided_power,
+    atom_dynamics,
+    atom_spectra,
+    propagate_pulse,
+    synthesize_pulse,
+    time_grid,
+)
+from .spectra import CavitySpec, transfer_unidirectional
 
 SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "s1", "custom")
 
@@ -371,7 +378,7 @@ def _transmitted(config: ScenarioConfig, pulse, power) -> dict:
 def _run_fig2(config: ScenarioConfig) -> dict:
     ens = _ensemble(config)
     pulse = _pulse(config, config.detuning)
-    traj = atom_dynamics(pulse, ens, trace_atoms=())
+    traj = atom_dynamics(pulse, ens)
     tables = _transmitted(config, pulse, traj.transmitted_power)
 
     # the traces hold every trace_stride-th grid sample and the colormap every
@@ -385,8 +392,7 @@ def _run_fig2(config: ScenarioConfig) -> dict:
     traces = {}
     colormap = np.empty((ens.n_atoms, map_t.size))
     # each atom's u * phi_n, transformed only at the samples written
-    for n, q in enumerate(_cascade_amplitudes(pulse.carrier_detuning + pulse.omega, ens,
-                                              pulse.spectrum), start=1):
+    for n, q in enumerate(atom_spectra(pulse, ens), start=1):
         colormap[n - 1] = _strided_power(q, map_stride)[:map_t.size]
         if n in labels:
             traces[n] = _strided_power(q, trace_stride)[:trace_t.size]

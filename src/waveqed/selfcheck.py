@@ -18,7 +18,14 @@ import numpy as np
 from .disorder import DisorderModel, average_observable, sample_configuration
 from .fitting import fit_pulse_decay
 from .physics import EnsembleSpec
-from .pulses import PulseWaveform, atom_dynamics, propagate_pulse, synthesize_pulse, time_grid
+from .pulses import (
+    PulseWaveform,
+    atom_dynamics,
+    atom_spectra,
+    propagate_pulse,
+    synthesize_pulse,
+    time_grid,
+)
 from .spectra import (
     CavitySpec,
     detuning_grid,
@@ -122,13 +129,13 @@ def check_gamma_identity() -> CheckResult:
     # atom_dynamics takes Gamma_coll from the cascade's energy balance
     # dE/dt = P_in - P_out - (1 - beta) E, solving it for E by one FFT;
     # check E and Gamma_coll against the independent sum of the N per-atom
-    # traces and its centered-difference rate.
+    # populations of atom_spectra and its centered-difference rate.
     pulse = _pulse()
     ensembles = (EnsembleSpec.uniform(40, 0.02), EnsembleSpec.uniform(30, 0.03))
     energy_err = gamma_err = 0.0
     for ens in ensembles:
         traj = atom_dynamics(pulse, ens)
-        stored = traj.traces.sum(axis=0)
+        stored = sum(np.abs(np.fft.ifft(q)) ** 2 for q in atom_spectra(pulse, ens))
         peak = float(np.max(stored))
         energy_err = max(energy_err, float(np.max(np.abs(traj.energy - stored))) / peak)
         late = np.flatnonzero((traj.t > pulse.switch_off + 0.1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import EnsembleSpec, single_atom_coefficients
+from .physics import EnsembleSpec, _require_integer, single_atom_coefficients
 
 RECURSION_EPS = 1e-12  # denominator-modulus floor flagged as degenerate
 
@@ -52,9 +52,10 @@ def _validate_grid(values, name="detuning grid"):
 
 def _grid_length(n) -> int:
     """n as an int, if it is an integer (not a bool or a float) and a power of two."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not _is_power_of_two(n):
-        raise ValueError(f"grid length must be an integer power of two, got {n!r}")
-    return int(n)
+    n = _require_integer("grid length", n)
+    if not _is_power_of_two(n):
+        raise ValueError(f"grid length must be a power of two, got {n}")
+    return n
 
 
 def detuning_grid(span, n):
@@ -169,7 +170,7 @@ def excitation_amplitudes(delta, ensemble: EnsembleSpec):
     phi_n(delta) = i t^(n-1) (t - 1) / sqrt(beta)
 
     normalized so that |phi_n|^2 maps an input photon flux onto an
-    excited-state probability (see pulses.atom_dynamics).  Successive
+    excited-state probability (see pulses.atom_spectra).  Successive
     amplitudes satisfy phi_{n+1}/phi_n = t.
 
     Returns an array of shape (n_atoms,) for scalar detuning, otherwise

@@ -46,11 +46,26 @@ MUTANTS = (
      "_LOG_POWER_MIN = 100",
      "_LOG_POWER_MIN = 50",
      ("tests/test_spectra.py::TestIntegerPower",)),
-    ("the trace_stride check lets 2.5 pass",
-     "src/waveqed/pulses.py",
+    ("the integer check lets 2.5 pass",
+     "src/waveqed/physics.py",
      "not isinstance(value, (int, np.integer))",
      "not isinstance(value, (int, float, np.integer))",
-     ("tests/test_physics.py::test_non_integer_trace_arguments_rejected_naming_the_parameter",)),
+     ("tests/test_physics.py::test_non_integer_counts_rejected_naming_the_parameter",)),
+    ("the flux balance adds the output flux",
+     "src/waveqed/pulses.py",
+     "flux -= transmitted",
+     "flux += transmitted",
+     ("tests/test_acceptance.py::test_c8_property_suite[gamma_identity]",)),
+    ("atom_spectra drops the carrier",
+     "src/waveqed/pulses.py",
+     "pulse.carrier_detuning + pulse.omega",
+     "pulse.omega",
+     ("tests/test_pulses.py::TestAtomDynamics::test_matches_ode_cascade",)),
+    ("the folded power is divided by the stride, not its square",
+     "src/waveqed/pulses.py",
+     "/ stride ** 2",
+     "/ stride",
+     ("tests/test_pulses.py::TestAtomDynamics::test_strided_traces_match_full_resolution",)),
 )
 
 

@@ -268,7 +268,7 @@ class TestOdSweep:
         assert [p.od for p in points] == list(ods)
         for point, od in zip(points, ods):
             ens = EnsembleSpec.from_od(od, beta)
-            traj = atom_dynamics(pulse, ens, trace_atoms=())
+            traj = atom_dynamics(pulse, ens)
             cap = long_cap if od <= threshold else short_cap
             fit = fit_initial_decay(pulse.t, traj.transmitted_power, pulse.switch_off, cap,
                                     settle)

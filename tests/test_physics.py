@@ -8,15 +8,18 @@ import pytest
 from waveqed import (
     CavitySpec,
     DecayFit,
+    DisorderModel,
     EnsembleSpec,
     Units,
     atom_dynamics,
+    average_observable,
     collective_rate_at_switchoff,
     detuning_grid,
     fit_initial_decay,
     fit_pulse_decay,
     od_to_atom_number,
     resonant_od,
+    sample_configuration,
     single_atom_coefficients,
     synthesize_pulse,
     time_grid,
@@ -158,7 +161,7 @@ _DECAY = np.exp(-np.clip(_T - 1.0, 0.0, None))
 
 def _rate_at_switchoff(**overrides):
     pulse = _pulse()
-    traj = atom_dynamics(pulse, EnsembleSpec.uniform(10, 0.01), trace_atoms=())
+    traj = atom_dynamics(pulse, EnsembleSpec.uniform(10, 0.01))
     return collective_rate_at_switchoff(traj, **{"t_off": pulse.switch_off, **overrides})
 
 
@@ -219,28 +222,38 @@ def test_nan_and_inf_rejected_naming_the_parameter(name, build):
         build()
 
 
-def _traced(**arguments):
-    return atom_dynamics(_pulse(), EnsembleSpec.uniform(3, 0.01), **arguments)
+def _average(n_configs=2, n_workers=1):
+    return average_observable(DisorderModel(n_atoms=2), n_configs, lambda ens: ens.phase,
+                              n_workers=n_workers)
 
 
-@pytest.mark.parametrize("name, arguments", [
-    pytest.param("trace_stride", {"trace_stride": 2.5}, id="stride-float"),
-    pytest.param("trace_stride", {"trace_stride": True}, id="stride-bool"),
-    pytest.param("trace_stride", {"trace_stride": NAN}, id="stride-nan"),
-    pytest.param("trace_atoms", {"trace_atoms": (1.5,)}, id="atoms-float"),
-    pytest.param("trace_atoms", {"trace_atoms": (0, True)}, id="atoms-bool"),
-    pytest.param("trace_atoms", {"trace_atoms": (NAN,)}, id="atoms-nan"),
+@pytest.mark.parametrize("name, build", [
+    pytest.param("n_atoms", lambda: EnsembleSpec.uniform(2.5), id="uniform-float"),
+    pytest.param("n_atoms", lambda: EnsembleSpec.uniform(True), id="uniform-bool"),
+    pytest.param("n_atoms", lambda: EnsembleSpec.uniform(NAN), id="uniform-nan"),
+    pytest.param("n_atoms", lambda: resonant_od(2.5, 0.01), id="resonant_od-float"),
+    pytest.param("n_atoms", lambda: DisorderModel(n_atoms=NAN), id="model-n_atoms-nan"),
+    pytest.param("n_atoms", lambda: DisorderModel(n_atoms=2.5), id="model-n_atoms-float"),
+    pytest.param("seed", lambda: DisorderModel(n_atoms=2, seed=1.5), id="model-seed-float"),
+    pytest.param("index", lambda: sample_configuration(DisorderModel(n_atoms=2), 1.5),
+                 id="configuration-index-float"),
+    pytest.param("n_configs", lambda: _average(n_configs=2.5), id="n_configs-float"),
+    pytest.param("n_workers", lambda: _average(n_workers=2.5), id="n_workers-float"),
+    pytest.param("n_workers", lambda: _average(n_workers=NAN), id="n_workers-nan"),
 ])
-def test_non_integer_trace_arguments_rejected_naming_the_parameter(name, arguments):
-    # int() would truncate 2.5 to 2 and 1.5 to 1, and take True as 1
+def test_non_integer_counts_rejected_naming_the_parameter(name, build):
+    # int() would truncate 2.5 to 2 and take True as 1
     with pytest.raises(ValueError, match=name):
-        _traced(**arguments)
+        build()
 
 
-def test_numpy_integer_trace_arguments_accepted():
-    traj = _traced(trace_atoms=(np.int32(0), np.uint8(2)), trace_stride=np.int64(2))
-    assert np.array_equal(traj.atom_indices, [0, 2])
-    assert np.array_equal(traj.traces, _traced(trace_atoms=(0, 2), trace_stride=2).traces)
+def test_numpy_integer_counts_accepted():
+    assert EnsembleSpec.uniform(np.int32(3)).n_atoms == 3
+    assert resonant_od(np.uint8(3), 0.01) == resonant_od(3, 0.01)
+    model = DisorderModel(n_atoms=np.int64(2), seed=np.uint64(7))
+    assert np.array_equal(sample_configuration(model, np.int16(1)).phase,
+                          sample_configuration(DisorderModel(n_atoms=2, seed=7), 1).phase)
+    assert np.array_equal(_average(np.int64(3), np.int8(2))[0], _average(3, 2)[0])
 
 
 def test_switch_off_may_stay_unknown_and_the_valid_calls_still_run():

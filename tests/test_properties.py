@@ -34,7 +34,7 @@ def test_edge_shape_sensitivity_is_small():
         out = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(), ens))
         fit = fit_initial_decay(out.t, out.power(), pulse.switch_off,
                                 window, SETTLE_DELAY)
-        traj = atom_dynamics(pulse, ens, trace_atoms=())
+        traj = atom_dynamics(pulse, ens)
         rates.append(fit.rate)
         gammas.append(collective_rate_at_switchoff(traj, pulse.switch_off))
     assert (max(rates) - min(rates)) / rates[1] < 0.06

@@ -9,6 +9,7 @@ from waveqed import (
     TransferSpectrum,
     Units,
     atom_dynamics,
+    atom_spectra,
     collective_rate_at_switchoff,
     config_from_dict,
     fit_pulse_decay,
@@ -18,7 +19,7 @@ from waveqed import (
     time_grid,
     transfer_unidirectional,
 )
-from waveqed.pulses import ENERGY_FLOOR
+from waveqed.pulses import ENERGY_FLOOR, _strided_power
 from waveqed.scenarios import _pulse as scenario_pulse
 
 from oracles import ode_cascade_populations, uniform_cascade_output
@@ -159,62 +160,56 @@ class TestCollectiveTransmission:
         assert contrast[k:].max() > 10 * contrast[k], "no revival after the contrast node"
 
 
+def populations(pulse, ensemble, atoms=None):
+    """p_n(t) on pulse.t from atom_spectra, one row per atom (0-based atoms
+    listed, or all)."""
+    return np.array([np.abs(np.fft.ifft(q)) ** 2
+                     for n, q in enumerate(atom_spectra(pulse, ensemble))
+                     if atoms is None or n in atoms])
+
+
 class TestAtomDynamics:
     def test_single_atom_decays_at_intrinsic_rate(self):
         dur, rise = 150 * NS, 0.85 * NS
         pulse = synthesize_pulse(time_grid(1024.0, 2 ** 15), dur, rise, photon_number=2.0)
-        traj = atom_dynamics(pulse, EnsembleSpec.uniform(1, 0.0055))
-        fit = fit_pulse_decay(traj.trace_t, traj.traces[0], pulse.switch_off, 30 * NS)
+        p_1 = populations(pulse, EnsembleSpec.uniform(1, 0.0055))[0]
+        fit = fit_pulse_decay(pulse.t, p_1, pulse.switch_off, 30 * NS)
         assert fit.rate == pytest.approx(1.0, rel=5e-3)
 
     def test_matches_ode_cascade(self):
         pulse = small_pulse(carrier=2.0, duration=4.0, rise=0.3, photon=1.5)
         beta, n = 0.05, 30
-        traj = atom_dynamics(pulse, EnsembleSpec.uniform(n, beta))
+        p = populations(pulse, EnsembleSpec.uniform(n, beta))
         reference = ode_cascade_populations(pulse, beta, n)
-        deviation = np.max(np.abs(traj.traces - reference)) / np.max(reference)
+        deviation = np.max(np.abs(p - reference)) / np.max(reference)
         assert deviation < 5e-4
 
     def test_first_atom_universal(self):
         pulse = small_pulse(carrier=1.0)
-        p_alone = atom_dynamics(pulse, EnsembleSpec.uniform(1, 0.02)).traces[0]
-        p_in_chain = atom_dynamics(pulse, EnsembleSpec.uniform(40, 0.02),
-                                   trace_atoms=(0,)).traces[0]
+        p_alone = populations(pulse, EnsembleSpec.uniform(1, 0.02))[0]
+        p_in_chain = populations(pulse, EnsembleSpec.uniform(40, 0.02), atoms=(0,))[0]
         assert np.array_equal(p_alone, p_in_chain)
 
     def test_probabilities_bounded(self):
         pulse = small_pulse(carrier=0.5, photon=2.0)
-        traj = atom_dynamics(pulse, EnsembleSpec.uniform(25, 0.02))
-        assert np.all(traj.traces >= 0)
-        assert np.all(traj.traces <= 1.0)
+        p = populations(pulse, EnsembleSpec.uniform(25, 0.02))
+        assert np.all(p >= 0)
+        assert np.all(p <= 1.0)
 
     def test_energy_vanishes_at_window_end(self):
         pulse = small_pulse()
         traj = atom_dynamics(pulse, EnsembleSpec.uniform(10, 0.02))
         assert traj.energy[-1] < 1e-9 * traj.energy.max()
 
-    def test_trace_selection_and_stride(self):
-        pulse = small_pulse()
-        traj = atom_dynamics(pulse, EnsembleSpec.uniform(12, 0.02),
-                             trace_atoms=(0, 5), trace_stride=4)
-        assert traj.traces.shape == (2, pulse.t.size // 4)
-        assert np.array_equal(traj.atom_indices, [0, 5])
-        full = atom_dynamics(pulse, EnsembleSpec.uniform(12, 0.02))
-        # strided traces come from a folded spectrum, equal up to rounding
-        assert np.max(np.abs(traj.traces[1] - full.traces[5][::4])) <= 1e-15 * full.traces[5].max()
-
     @pytest.mark.parametrize("stride", [2, 4, 8, 3])
     def test_strided_traces_match_full_resolution(self, stride):
         # 2, 4 and 8 divide the 2^12-point grid and fold the spectrum; 3 does not
         pulse = small_pulse(carrier=1.0)
         ens = EnsembleSpec.uniform(20, 0.03)
-        full = atom_dynamics(pulse, ens)
-        strided = atom_dynamics(pulse, ens, trace_stride=stride)
-        assert np.array_equal(strided.trace_t, pulse.t[::stride])
-        assert strided.traces.shape == full.traces[:, ::stride].shape
-        deviation = np.max(np.abs(strided.traces - full.traces[:, ::stride]))
-        assert deviation <= 1e-15 * full.traces.max()
-        assert np.array_equal(strided.energy, full.energy)
+        strided = np.array([_strided_power(q, stride) for q in atom_spectra(pulse, ens)])
+        full = populations(pulse, ens)[:, ::stride]
+        assert strided.shape == full.shape
+        assert np.max(np.abs(strided - full)) <= 1e-15 * full.max()
 
     def test_uniform_beta_energy_needs_no_per_atom_transform(self, monkeypatch):
         calls = []
@@ -227,17 +222,16 @@ class TestAtomDynamics:
         monkeypatch.setattr(np.fft, "ifft", counted)
         pulse = small_pulse(carrier=1.0)
         counts = []
-        for n_atoms, trace_atoms in ((10, ()), (300, ()), (300, (7,))):
+        for n_atoms in (10, 300):
             calls.clear()
-            atom_dynamics(pulse, EnsembleSpec.uniform(n_atoms, 0.02), trace_atoms=trace_atoms)
+            atom_dynamics(pulse, EnsembleSpec.uniform(n_atoms, 0.02))
             counts.append(len(calls))
         assert counts[0] == counts[1]
-        assert counts[2] == counts[1] + 1
 
     @pytest.mark.parametrize("beta", [0.03], ids=["flux_balance"])
     def test_rate_masked_before_onset_and_in_far_tail(self, beta):
         pulse = small_pulse(carrier=1.0)
-        traj = atom_dynamics(pulse, EnsembleSpec.uniform(20, beta), trace_atoms=())
+        traj = atom_dynamics(pulse, EnsembleSpec.uniform(20, beta))
         onset = pulse.t[np.flatnonzero(pulse.envelope)[0]]
         outside = (traj.t < onset) | (traj.t > pulse.switch_off + 30.0)
         assert np.count_nonzero(outside) > 1000
@@ -252,23 +246,22 @@ class TestAtomDynamics:
         pulse = synthesize_pulse(time_grid(1024.0, 2 ** 15), dur, rise,
                                  carrier_detuning=17.3, photon_number=2.0)
         ens = EnsembleSpec.from_od(19.3)
-        traj = atom_dynamics(pulse, ens, trace_atoms=(0, 99, 599))
-        dt = traj.trace_t[1] - traj.trace_t[0]
+        p = populations(pulse, ens, atoms=(0, 99, 599))
         dc = 17.3
 
         def max_drift(trace):
             smooth = np.convolve(trace, np.ones(33) / 33, mode="same")
-            z = (trace - smooth) * np.exp(1j * dc * traj.trace_t)
-            kern = np.hanning(int(round(4 * math.pi / dc / dt)))
+            z = (trace - smooth) * np.exp(1j * dc * pulse.t)
+            kern = np.hanning(int(round(4 * math.pi / dc / pulse.dt)))
             z = np.convolve(z, kern / kern.sum(), mode="same")
-            lo = np.searchsorted(traj.trace_t, 1.3)
-            hi = np.searchsorted(traj.trace_t, pulse.switch_off - 0.05)
+            lo = np.searchsorted(pulse.t, 1.3)
+            hi = np.searchsorted(pulse.t, pulse.switch_off - 0.05)
             phase = np.unwrap(np.angle(z[lo:hi]))
             return np.max(np.abs(phase - phase[8]))
 
-        assert max_drift(traj.traces[0]) < 0.5          # 1st atom: locked
-        assert max_drift(traj.traces[1]) > 2.0          # 100th: reverses
-        assert max_drift(traj.traces[2]) > 3.0          # 600th: fully reversed
+        assert max_drift(p[0]) < 0.5          # 1st atom: locked
+        assert max_drift(p[1]) > 2.0          # 100th: reverses
+        assert max_drift(p[2]) > 3.0          # 600th: fully reversed
 
 
 class TestCollectiveRate:
@@ -282,7 +275,7 @@ class TestCollectiveRate:
         config = config_from_dict({"scenario": "fig3"})
         pulse = scenario_pulse(config, config.detuning)
         for od in config.od_values:
-            traj = atom_dynamics(pulse, EnsembleSpec.from_od(od, config.beta), trace_atoms=())
+            traj = atom_dynamics(pulse, EnsembleSpec.from_od(od, config.beta))
             gamma = collective_rate_at_switchoff(traj, pulse.switch_off)
             idx = np.searchsorted(traj.t, pulse.switch_off + 0.02)
             assert np.isfinite(gamma) and gamma > 0
@@ -295,7 +288,7 @@ class TestCollectiveRate:
         for od in config.od_values if scenario == "fig3" else [config.od]:
             ens = EnsembleSpec.from_od(od, config.beta)
             medium = transfer_unidirectional(pulse.detunings(), ens)
-            assert np.array_equal(atom_dynamics(pulse, ens, trace_atoms=()).transmitted_power,
+            assert np.array_equal(atom_dynamics(pulse, ens).transmitted_power,
                                   propagate_pulse(pulse, medium).power())
 
     def test_error_outside_window(self):

@@ -330,8 +330,7 @@ class TestRunScenario:
             transforms.append(np.shape(a)[-1])
             return ifft(a, *args, **kwargs)
 
-        for module in (scenarios, pulses):
-            monkeypatch.setattr(module, "_cascade_amplitudes", counted_cascade)
+        monkeypatch.setattr(pulses, "_cascade_amplitudes", counted_cascade)
         monkeypatch.setattr(np.fft, "ifft", counted_ifft)
         files = run_scenario(config)
         monkeypatch.undo()
