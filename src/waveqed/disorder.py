@@ -87,6 +87,8 @@ def average_observable(model: DisorderModel, n_configs: int, observable,
     n_workers = _require_integer("n_workers", n_workers)
     if n_configs < 1:
         raise ValueError("n_configs must be positive")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be positive, got {n_workers}")
     chunk_size = max(1, min(CHUNK_SIZE, -(-n_configs // 32)))
     first = np.asarray(observable(sample_configuration(model, 0)))
     shape = first.shape

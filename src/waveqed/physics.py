@@ -77,10 +77,7 @@ class EnsembleSpec:
     @classmethod
     def uniform(cls, n_atoms, beta=BETA_DEFAULT):
         """Ensemble of n_atoms identical emitters at zero phase."""
-        n_atoms = _require_integer("n_atoms", n_atoms)
-        if n_atoms < 1:
-            raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
-        return cls(beta=beta, phase=np.zeros(n_atoms))
+        return cls(beta=beta, phase=np.zeros(_require_count("n_atoms", n_atoms)))
 
     @classmethod
     def from_od(cls, od, beta=BETA_DEFAULT):
@@ -94,6 +91,14 @@ def _require_integer(name, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _require_count(name, value) -> int:
+    """_require_integer(name, value), which must also be at least 1."""
+    value = _require_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return value
 
 
 def single_atom_coefficients(delta, beta=BETA_DEFAULT):
@@ -132,4 +137,4 @@ def resonant_od(n_atoms, beta=BETA_DEFAULT) -> float:
     """Resonant optical depth of n_atoms identical emitters, -2N ln(1-2beta)."""
     if not 0.0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 0.5) for the OD calibration")
-    return -2.0 * _require_integer("n_atoms", n_atoms) * math.log1p(-2.0 * beta)
+    return -2.0 * _require_count("n_atoms", n_atoms) * math.log1p(-2.0 * beta)

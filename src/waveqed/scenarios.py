@@ -282,12 +282,14 @@ def parse_config(path) -> ScenarioConfig:
     return config_from_dict(read_config_json(path))
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, chunks):
+    """Write the text chunks in turn to a temp file beside path, then move it
+    onto path; on any error the temp file is removed and path is untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -303,6 +305,11 @@ def _column_text(a):
     return text[inverse]
 
 
+# write_csv formats and writes this many rows at a time, so its memory does
+# not grow with the table: no full-length text column or file text exists
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path: Path, scenario: str, columns):
     """CSV with a provenance comment, one (name, unit, values) per column."""
     names = [f"{name}_{unit}" if unit else name for name, unit, _ in columns]
@@ -310,11 +317,15 @@ def write_csv(path: Path, scenario: str, columns):
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("columns must have equal lengths")
-    # the column texts are freed before the join, so they never coexist with
-    # the file text, which keeps fig2's peak RSS where the row loop left it
-    lines = [f"# scenario: {scenario}", ",".join(names),
-             *map(",".join, zip(*[_column_text(a) for a in arrays]))]
-    _atomic_write(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield f"# scenario: {scenario}\n{','.join(names)}\n"
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            rows = zip(*[_column_text(a[block]) for a in arrays])
+            yield "\n".join(map(",".join, rows)) + "\n"
+
+    _atomic_write(path, chunks())
     return path
 
 
@@ -508,6 +519,6 @@ def run_scenario(config: ScenarioConfig) -> dict:
         "files": sorted(p.name for p in files.values()),
     }
     manifest_path = out / "manifest.json"
-    _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _atomic_write(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     files["manifest"] = manifest_path
     return files

@@ -66,6 +66,27 @@ MUTANTS = (
      "/ stride ** 2",
      "/ stride",
      ("tests/test_pulses.py::TestAtomDynamics::test_strided_traces_match_full_resolution",)),
+    ("the CSV reprs are keyed on the value, not its bits, so -0.0 prints as 0.0",
+     "src/waveqed/scenarios.py",
+     "np.unique(a.astype(float).view(np.int64), return_inverse=True)",
+     "np.unique(a.astype(float), return_inverse=True)",
+     ("tests/test_scenarios.py::TestRunScenario::test_write_csv_prints_every_value_by_its_repr",)),
+    ("each CSV block drops its last row",
+     "src/waveqed/scenarios.py",
+     "slice(start, start + _CSV_BLOCK_ROWS)",
+     "slice(start, start + _CSV_BLOCK_ROWS - 1)",
+     ("tests/test_scenarios.py::TestRunScenario::test_write_csv_prints_every_value_by_its_repr",)),
+    ("a failed atomic write leaves its temp file",
+     "src/waveqed/scenarios.py",
+     "            os.unlink(tmp)\n",
+     "            pass\n",
+     ("tests/test_scenarios.py::TestRunScenario::"
+      "test_write_csv_failing_mid_table_keeps_the_old_file",)),
+    ("the n_workers check lets 0 workers pass",
+     "src/waveqed/disorder.py",
+     "if n_workers < 1:",
+     "if n_workers < 0:",
+     ("tests/test_physics.py::test_non_positive_counts_rejected_naming_the_parameter",)),
 )
 
 

@@ -247,6 +247,18 @@ def test_non_integer_counts_rejected_naming_the_parameter(name, build):
         build()
 
 
+@pytest.mark.parametrize("name, build", [
+    pytest.param("n_workers", lambda: _average(n_workers=0), id="n_workers-zero"),
+    pytest.param("n_workers", lambda: _average(n_workers=-4), id="n_workers-negative"),
+    pytest.param("n_atoms", lambda: resonant_od(0, 0.01), id="resonant_od-zero"),
+    pytest.param("n_atoms", lambda: resonant_od(-3, 0.01), id="resonant_od-negative"),
+])
+def test_non_positive_counts_rejected_naming_the_parameter(name, build):
+    # zero or fewer workers would run serially, and zero or fewer atoms give an OD <= 0
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 def test_numpy_integer_counts_accepted():
     assert EnsembleSpec.uniform(np.int32(3)).n_atoms == 3
     assert resonant_od(np.uint8(3), 0.01) == resonant_od(3, 0.01)
