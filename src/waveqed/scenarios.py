@@ -314,6 +314,8 @@ def write_csv(path: Path, scenario: str, columns):
     """CSV with a provenance comment, one (name, unit, values) per column."""
     names = [f"{name}_{unit}" if unit else name for name, unit, _ in columns]
     arrays = [np.asarray(values) for _, _, values in columns]
+    if not arrays:
+        raise ValueError("a CSV table needs at least one column")
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("columns must have equal lengths")

@@ -192,16 +192,18 @@ _LONG_BLOCK, _LONG_BLOCK_MARGIN, _SHORT_BLOCK = 32, 1e-9, 16
 
 # The polynomial form of the homogeneous recursion.  Coefficient j of x
 # and y is bounded by (2 N a_max)^j / j!, so for 2 N a_max (about the OD)
-# up to _POLY_CAP the coefficients stay below ~e^64 and the tail past the
-# degree is below _POLY_TAIL; a larger 2 N a_max runs the homogeneous
-# recursion on the whole grid.  A point whose rounding bound exceeds
-# _POLY_TOL runs the homogeneous recursion alone.  Measured against a
-# long-double recursion (2048 points in +-40, 3 seeds, beta 0.0055), max
-# relative |dT| of the polynomial / homogeneous form:
-#   OD 5: 2.8e-15 / 4.1e-15     OD 19.3: 1.8e-14 / 7.4e-15
-#   OD 26: 2.9e-14 / 8.8e-15    OD 40: 5.9e-14 / 1.0e-14
-#   OD 60: 4.5e-13 / 1.4e-14
-# The bound held at every point, at 32x to 92x the larger of the errors
+# up to _POLY_CAP the coefficients stay below ~e^64; a larger 2 N a_max
+# runs the homogeneous recursion on the whole grid.  The coefficients run
+# to the degree D whose tail at |z| = 1 is below _POLY_TAIL, and Horner
+# at each point only to the degree whose tail at the point's |z| is (a
+# mean of 10.5 against D = 106 on fig4's grid).  A point whose rounding
+# bound exceeds _POLY_TOL runs the homogeneous recursion alone.  Measured
+# against a long-double recursion (2048 points in +-40, 3 seeds, beta
+# 0.0055), max relative |dT| of the polynomial / homogeneous form:
+#   OD 5: 2.8e-15 / 4.1e-15     OD 19.3: 1.9e-14 / 7.4e-15
+#   OD 26: 3.0e-14 / 8.8e-15    OD 40: 6.2e-14 / 1.0e-14
+#   OD 60: 5.2e-13 / 1.4e-14
+# The bound held at every point, at 37x to 96x the larger of the errors
 # of T and s.  It peaks at 1.2e-13 (OD 5), 2.5e-12 (19.3), 7.7e-12 (26),
 # 6.8e-11 (40) and 1.2e-9 (60, where 5% of those points fall back).  Over
 # fig4's 64, s1's 1000 and C3's 1000 configurations it stays below 7.9e-12,
@@ -248,25 +250,48 @@ def _polynomial_coefficients(phase, a_max, degree):
     """(2, degree + 1) coefficients in z of the pair (x, y), far end first.
 
     Atom n maps (x, y) to (x, y) + a_max z P_n (x, y) with the rank-one
-    P_n = (-1, e^{-i theta_n})^T (1, e^{i theta_n}), so coefficient j
-    gains P_n times coefficient j - 1; after k atoms only the first k + 1
-    coefficients are nonzero.
+    P_n = (-1, e^{-i theta_n})^T (1, e^{i theta_n}), so coefficient j after
+    the first k atoms is the sum over the atoms m < k of
+    a_max (X_{j-1} + e_m Y_{j-1}) (-1, e^{-i theta_m}), each term taken
+    with coefficient j - 1 after the atoms before m: one exclusive prefix
+    sum over the chain per degree, added in atom order.  (P_n^2 = 0, so
+    reading the coefficients after m instead changes only the rounding.)
     """
     e = np.exp(1j * phase[::-1])
-    step = np.empty((e.size, 2, 2), dtype=complex)
-    step[:, 0, 0] = -a_max
-    step[:, 0, 1] = -a_max * e
-    step[:, 1, 0] = a_max * e.conj()
-    step[:, 1, 1] = a_max
-    coef = np.zeros((2, degree + 1), dtype=complex)
-    coef[1, 0] = 1.0
-    head = min(degree, e.size)
-    for k in range(head):
-        coef[:, 1:k + 2] += step[k] @ coef[:, :k + 1]
-    low, high = coef[:, :degree], coef[:, 1:]
-    for p in step[head:]:
-        high += p @ low
+    turn = np.empty((2, e.size), dtype=complex)
+    turn[0] = -1.0
+    turn[1] = e.conj()
+    # column k: coefficient j - 1 after the first k atoms (degree 0 is (0, 1))
+    prefix = np.zeros((2, e.size + 1), dtype=complex)
+    prefix[1] = 1.0
+    coef = np.empty((2, degree + 1), dtype=complex)
+    coef[:, 0] = prefix[:, -1]
+    before = prefix[:, :-1]  # what each atom's step reads
+    w = np.empty(e.size, dtype=complex)
+    terms = np.empty((2, e.size), dtype=complex)
+    for j in range(1, degree + 1):
+        np.multiply(before[1], e, out=w)
+        w += before[0]
+        w *= a_max
+        np.multiply(turn, w, out=terms)
+        np.cumsum(terms, axis=1, out=prefix[:, 1:])
+        prefix[:, 0] = 0.0  # before the first atom only degree 0 is nonzero
+        coef[:, j] = prefix[:, -1]
     return coef
+
+
+def _point_degrees(abs_z, bound, n_atoms):
+    """Each point's truncation degree, from the top of the power-of-two bin of its |z|.
+
+    With r >= |z| the tail of coefficients j > d at the point is below
+    sum_{j > d} (bound r)^j / j!, so d = _truncation_degree(bound r,
+    n_atoms) keeps it under _POLY_TAIL; |z| <= 1 caps r at 1.
+    """
+    _, exponent = np.frexp(abs_z)  # 2^(exponent - 1) <= |z| < 2^exponent
+    shift = -np.minimum(exponent, 0)  # r = 2^-shift
+    table = [_truncation_degree(math.ldexp(bound, -k), n_atoms)
+             for k in range(int(shift.max(initial=0)) + 1)]
+    return np.array(table)[shift]
 
 
 def _polynomial_recursion(delta, ensemble, block):
@@ -293,32 +318,43 @@ def _certified_polynomial(delta, ensemble):
     a_max = beta / margin and z = margin / (margin + i delta), |z| <= 1.
     Starting from (0, 1) at the far end, x and y are polynomials in z
     whose coefficients depend on the phases alone (_polynomial_coefficients),
-    truncated where the rigorous tail bound drops below _POLY_TAIL;
-    T = 1/y and s = x/y follow by Horner on the grid.  |y| = 1/|T| >= 1,
-    so bound = eps (N + D) sum_j (|X_j| + |Y_j|) |z|^j |T| covers the
-    relative error of T and the absolute error of s: D for Horner, N for
-    the coefficient recurrence.
+    truncated at the degree D where the rigorous tail bound at |z| = 1
+    drops below _POLY_TAIL.  Each point runs Horner only to its own degree
+    d_p <= D, where the same tail bound at its |z| does (_point_degrees);
+    T = 1/y and s = x/y.  |y| = 1/|T| >= 1, so bound = eps (N + D)
+    sum_{j <= d_p} (|X_j| + |Y_j|) |z|^j |T| covers the relative error of
+    T and the absolute error of s: D for Horner, N for the coefficient
+    recurrence.
     """
     n_atoms = ensemble.n_atoms
     margin = 0.5 - ensemble.beta
     a_max = ensemble.beta / margin
     degree = _truncation_degree(2 * n_atoms * a_max, n_atoms)
     coef = _polynomial_coefficients(ensemble.phase, a_max, degree)
+    size = np.abs(coef).sum(axis=0)
     z = margin / (margin + 1j * delta)
-    pair = np.empty((2, delta.size), dtype=complex)
-    pair[:] = coef[:, -1:]
-    for c in coef.T[-2::-1, :, None]:
-        pair *= z
-        pair += c
+    abs_z = np.abs(z)
+    degrees = _point_degrees(abs_z, 2 * n_atoms * a_max, n_atoms)
+    # |z| peaks at delta = 0, so the points of degree >= j are one span of
+    # the grid; a point inside the span at a lower degree (none on an
+    # increasing grid) just runs Horner further
+    top = int(degrees.max(initial=0))
+    levels = np.arange(top + 1)
+    starts = np.searchsorted(np.maximum.accumulate(degrees), levels)
+    stops = delta.size - np.searchsorted(np.maximum.accumulate(degrees[::-1]), levels)
+    # Horner, each point starting from 0 at its own degree; the running
+    # bound is Horner once more, on |z| and |X_j| + |Y_j|
+    pair = np.zeros((2, delta.size), dtype=complex)
+    bound = np.zeros(delta.size)
+    for j in range(top, -1, -1):
+        span = slice(starts[j], stops[j])
+        pair_at, bound_at = pair[:, span], bound[span]
+        pair_at *= z[span]
+        pair_at += coef[:, j, None]
+        bound_at *= abs_z[span]
+        bound_at += size[j]
     t_prod = 1.0 / pair[1]
     s = pair[0] * t_prod
-    # the running bound: Horner once more, on |z| and |X_j| + |Y_j|
-    size = np.abs(coef).sum(axis=0)
-    abs_z = np.abs(z)
-    bound = np.full(delta.size, size[-1])
-    for c in size[-2::-1]:
-        bound *= abs_z
-        bound += c
     bound *= np.finfo(float).eps * (n_atoms + degree) * np.abs(t_prod)
     return t_prod, s, bound
 

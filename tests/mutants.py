@@ -87,6 +87,40 @@ MUTANTS = (
      "if n_workers < 1:",
      "if n_workers < 0:",
      ("tests/test_physics.py::test_non_positive_counts_rejected_naming_the_parameter",)),
+    ("each point's degree read from the bottom of its |z| bin, not the top",
+     "src/waveqed/spectra.py",
+     "math.ldexp(bound, -k)",
+     "math.ldexp(bound, -k - 1)",
+     ("tests/test_spectra.py::TestPerPointDegree::"
+      "test_each_point_meets_the_tail_criterion_at_its_own_degree",)),
+    ("an inclusive prefix sum over the chain, not the exclusive one",
+     "src/waveqed/spectra.py",
+     "out=prefix[:, 1:]",
+     "out=prefix[:, :-1]",
+     ("tests/test_spectra.py::TestPerPointDegree::"
+      "test_coefficients_within_n_eps_of_the_atom_major_loop",)),
+    ("Horner drops the last coefficient",
+     "src/waveqed/spectra.py",
+     "range(top, -1, -1)",
+     "range(top - 1, -1, -1)",
+     ("tests/test_spectra.py::TestPolynomialRecursion::test_exact_polynomial_on_short_chains",)),
+    ("the truncation degree is D - 10",
+     "src/waveqed/spectra.py",
+     "            return degree\n",
+     "            return degree - 10\n",
+     ("tests/test_spectra.py::TestPolynomialRecursion::"
+      "test_truncation_degree_is_the_smallest_with_a_tail_below_1e_20",)),
+    ("the kernel builds coefficients to D - 10",
+     "src/waveqed/spectra.py",
+     "_polynomial_coefficients(ensemble.phase, a_max, degree)",
+     "_polynomial_coefficients(ensemble.phase, a_max, degree - 10)",
+     ("tests/test_spectra.py::TestPerPointDegree::test_matches_full_degree_horner_at_defaults",)),
+    ("the bound loses its N term",
+     "src/waveqed/spectra.py",
+     "(n_atoms + degree)",
+     "(degree)",
+     ("tests/test_spectra.py::TestPolynomialRecursion::"
+      "test_bound_is_the_running_error_of_horner_and_the_recurrence",)),
 )
 
 

@@ -312,6 +312,11 @@ class TestRunScenario:
         rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, k)]
         assert path.read_text() == "\n".join(["# scenario: custom", "x,k", *rows]) + "\n"
 
+    def test_write_csv_without_columns_raises_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one column"):
+            scenarios.write_csv(tmp_path / "t.csv", "custom", [])
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_csv_memory_does_not_grow_with_the_table(self, tmp_path):
         # formatted whole, this table's text takes about 17 MB of traced
         # allocations; one block of 4096 rows takes about 1.7 MB

@@ -26,6 +26,7 @@ from waveqed.spectra import (
     RECURSION_EPS,
     _certified_polynomial,
     _homogeneous_recursion,
+    _point_degrees,
     _polynomial_coefficients,
     _recursion,
     _screened_recursion,
@@ -508,6 +509,93 @@ class TestPolynomialRecursion:
             grid, ens = default_configuration(scenario, index)
             _recursion(grid, ens, RECURSION_EPS)
         assert calls == []
+
+
+def atom_major_coefficients(phase, a_max, degree):
+    """The coefficients of _polynomial_coefficients by one 2 x 2 product per
+    atom on every degree at once: the reference for its degree-major loop."""
+    e = np.exp(1j * phase[::-1])
+    step = np.empty((e.size, 2, 2), dtype=complex)
+    step[:, 0, 0] = -a_max
+    step[:, 0, 1] = -a_max * e
+    step[:, 1, 0] = a_max * e.conj()
+    step[:, 1, 1] = a_max
+    coef = np.zeros((2, degree + 1), dtype=complex)
+    coef[1, 0] = 1.0
+    head = min(degree, e.size)
+    for k in range(head):
+        coef[:, 1:k + 2] += step[k] @ coef[:, :k + 1]
+    low, high = coef[:, :degree], coef[:, 1:]
+    for p in step[head:]:
+        high += p @ low
+    return coef
+
+
+def full_degree_horner(delta, ens):
+    """(T, s) from the same coefficients as _certified_polynomial, by Horner
+    to the full degree D at every point."""
+    margin = 0.5 - ens.beta
+    a_max = ens.beta / margin
+    degree = _truncation_degree(2 * ens.n_atoms * a_max, ens.n_atoms)
+    coef = _polynomial_coefficients(ens.phase, a_max, degree)
+    z = margin / (margin + 1j * delta)
+    x, y = (np.polynomial.polynomial.polyval(z, c) for c in coef)
+    return 1.0 / y, x / y
+
+
+class TestPerPointDegree:
+    """Horner to each point's own degree, and the degree-major coefficients."""
+
+    @staticmethod
+    def degrees(grid, ens):
+        margin = 0.5 - ens.beta
+        bound = 2 * ens.n_atoms * ens.beta / margin
+        abs_z = np.abs(margin / (margin + 1j * grid))
+        return bound, abs_z, _point_degrees(abs_z, bound, ens.n_atoms)
+
+    @pytest.mark.parametrize("scenario", ["fig4", "s1"])
+    def test_each_point_meets_the_tail_criterion_at_its_own_degree(self, scenario):
+        grid, ens = default_configuration(scenario)
+        bound, abs_z, degrees = self.degrees(grid, ens)
+        assert degrees.max() == _truncation_degree(bound, ens.n_atoms)
+        # the tail grows with |z|, so the largest |z| of a degree stands for
+        # all its points, and the smallest for how far past need it goes:
+        # at most to the degree of twice its |z|, the width of a bin
+        for degree in np.unique(degrees):
+            at = abs_z[degrees == degree]
+            assert exponential_tail(float(bound * at.max()), int(degree)) < spectra._POLY_TAIL
+            assert degree <= _truncation_degree(bound * min(2 * at.min(), 1.0), ens.n_atoms)
+        assert degrees.mean() < 0.15 * degrees.max()
+
+    @pytest.mark.parametrize("scenario", ["fig4", "s1"])
+    def test_matches_full_degree_horner_at_defaults(self, scenario):
+        grid, ens = default_configuration(scenario)
+        t_prod, s, _ = _certified_polynomial(grid, ens)
+        t_ref, s_ref = full_degree_horner(grid, ens)
+        assert np.max(np.abs(t_prod - t_ref) / np.abs(t_ref)) <= 1e-14
+        assert np.max(np.abs(s - s_ref)) <= 1e-15
+
+    @pytest.mark.parametrize("grid", [np.linspace(3.0, 40.0, 999), np.linspace(-40.0, -0.5, 1000),
+                                      np.linspace(-7.3, 31.0, 777), np.array([0.25])])
+    def test_matches_full_degree_horner_on_grids_off_centre(self, grid):
+        # the span of each degree where |z| does not peak inside the grid
+        ens = EnsembleSpec(0.0055, np.random.default_rng(11).uniform(0.0, 2 * math.pi, 1175))
+        _, _, degrees = self.degrees(grid, ens)
+        assert degrees.size == 1 or degrees.min() < degrees.max()
+        t_prod, s, _ = _certified_polynomial(grid, ens)
+        t_ref, s_ref = full_degree_horner(grid, ens)
+        assert np.max(np.abs(t_prod - t_ref) / np.abs(t_ref)) <= 1e-14
+        assert np.max(np.abs(s - s_ref)) <= 1e-15
+
+    @pytest.mark.parametrize("scenario", ["fig4", "s1"])
+    def test_coefficients_within_n_eps_of_the_atom_major_loop(self, scenario):
+        _, ens = default_configuration(scenario)
+        a_max = ens.beta / (0.5 - ens.beta)
+        degree = _truncation_degree(2 * ens.n_atoms * a_max, ens.n_atoms)
+        coef = _polynomial_coefficients(ens.phase, a_max, degree)
+        reference = atom_major_coefficients(ens.phase, a_max, degree)
+        error = np.abs(coef - reference)
+        assert np.all(error <= ens.n_atoms * np.finfo(float).eps * np.abs(reference))
 
 
 class TestCavity:
