@@ -16,21 +16,8 @@ import numpy as np
 
 from .disorder import DisorderModel, average_observable
 from .physics import EnsembleSpec, Units, single_atom_coefficients
-from .pulses import (
-    _atom_dynamics,
-    _check_grid,
-    _propagate,
-    _require_finite,
-    collective_rate_at_switchoff,
-)
-from .spectra import (
-    RECURSION_EPS,
-    _check_passive,
-    _integer_power,
-    _power_log,
-    _recursion,
-    transfer_unidirectional,
-)
+from .pulses import _require_finite, atom_dynamics, collective_rate_at_switchoff, propagate_pulse
+from .spectra import TransferSpectrum, transfer_bidirectional, transfer_unidirectional
 
 SETTLE_DELAY = Units().time_from_si(1e-9)      # skip the switch-off transient
 FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
@@ -184,13 +171,14 @@ def _shared_grids(pulses):
     pulse joins the first group whose reference carrier lies a whole number
     of steps away (to GRID_MATCH_TOL of a step) and whose union grid its own
     grid overlaps; otherwise it starts a group of its own.  Returns one
-    (union grid, [(pulse index, start of its G-point slice)]) per group; the
-    grid follows the arithmetic of PulseWaveform.detunings with k extended.
+    (union grid, [pulse index]) per group; the grid follows the arithmetic of
+    PulseWaveform.detunings with k extended, and propagate_pulse finds each
+    pulse's G points in it.
     """
     n = pulses[0].t.size
     inv_span = 1.0 / (n * pulses[0].dt)  # 1/(G dt), as numpy's fftfreq computes it
     step = 2.0 * math.pi * inv_span
-    groups = []  # [reference carrier, first k, end k, [(pulse index, offset in steps)]]
+    groups = []  # [reference carrier, first k, end k, [pulse index]]
     for i, pulse in enumerate(pulses):
         for group in groups:
             shift = (pulse.carrier_detuning - group[0]) / step
@@ -199,44 +187,34 @@ def _shared_grids(pulses):
                     and offset - n // 2 < group[2] and offset + n // 2 > group[1]):
                 group[1] = min(group[1], offset - n // 2)
                 group[2] = max(group[2], offset + n // 2)
-                group[3].append((i, offset))
+                group[3].append(i)
                 break
         else:
-            groups.append([pulse.carrier_detuning, -(n // 2), n // 2, [(i, 0)]])
-    return [(carrier + 2.0 * math.pi * (np.arange(lo, hi) * inv_span),
-             [(i, offset - n // 2 - lo) for i, offset in members])
+            groups.append([pulse.carrier_detuning, -(n // 2), n // 2, [i]])
+    return [(carrier + 2.0 * math.pi * (np.arange(lo, hi) * inv_span), members)
             for carrier, lo, hi, members in groups]
 
 
 def _directional_powers(pulses):
     """Observable: forward and backward output power of every pulse, (n_pulses, 2, G).
 
-    Each configuration costs one two-way recursion per union grid of
-    _shared_grids; every pulse then reads its G-point slice of the
-    transmission and reflection.  Each slice is checked against its
-    pulse's grid once, here, and each configuration's response for
-    passivity once per union grid.
+    Each configuration costs one transfer_bidirectional per union grid of
+    _shared_grids; propagate_pulse then reads every pulse's G points of
+    the transmission and reflection.
     """
     groups = _shared_grids(pulses)
-    n = pulses[0].t.size
     # each pulse's aliasing guard, spectrum and detunings run once, here, so
     # the arrays it keeps sit below the configurations' temporaries on the heap
     for pulse in pulses:
         _ = pulse.spectrum, pulse.detunings()
-    for grid, members in groups:
-        for i, start in members:
-            _check_grid(pulses[i], grid[start:start + n])
 
     def observable(ens):
-        out = np.empty((len(pulses), 2, n))
+        out = np.empty((len(pulses), 2, pulses[0].t.size))
         for grid, members in groups:
-            t_prod, s = _recursion(grid, ens, RECURSION_EPS)
-            _check_passive(t_prod)
-            _check_passive(s)
-            for i, start in members:
-                window = slice(start, start + n)
-                for row, amplitude in enumerate((t_prod, s)):
-                    out[i, row] = np.abs(_propagate(pulses[i], amplitude[window])) ** 2
+            responses = transfer_bidirectional(grid, ens)
+            for i in members:
+                for row, medium in enumerate(responses):
+                    out[i, row] = propagate_pulse(pulses[i], medium).power()
         return out
 
     return observable
@@ -282,14 +260,11 @@ def disorder_averaged_forward(pulse, n_atoms, beta, n_configs, seed, n_workers=1
     """
     delta = pulse.detunings()
     uniform = EnsembleSpec.uniform(n_atoms, beta)
-    cascade = np.abs(_propagate(pulse, transfer_unidirectional(delta, uniform).amplitude)) ** 2
+    cascade = propagate_pulse(pulse, transfer_unidirectional(delta, uniform)).power()
     model = DisorderModel(n_atoms=n_atoms, beta_mean=beta, seed=seed)
 
     def forward_power(sample):
-        # on the pulse's own grid: only passivity is left to check
-        t_prod, _ = _recursion(delta, sample, RECURSION_EPS)
-        _check_passive(t_prod)
-        return np.abs(_propagate(pulse, t_prod)) ** 2
+        return propagate_pulse(pulse, transfer_bidirectional(delta, sample)[0]).power()
 
     mean, stderr = average_observable(model, n_configs, forward_power, n_workers=n_workers)
     return cascade, mean, stderr
@@ -359,8 +334,7 @@ def ring_multipass(pulse, ensemble, cavity, roundtrips, start, settle_delay) -> 
     rate_sp, seg_sp = [], []
     for k in range(1, max(roundtrips, (end - 1 - onset) // shift) + 1):
         cumulative = cumulative * single
-        # passive as the single pass is, which transfer_unidirectional checked
-        passes = _propagate(pulse, cumulative)
+        passes = propagate_pulse(pulse, TransferSpectrum(delta, cumulative)).envelope
         echo = -(1.0 - cavity.t_c ** 2) * cavity.t_c ** (k - 1) * loop ** k
         field[k * shift:] += echo * passes[:end - k * shift]
         no_atom[k * shift:] += echo * envelope[:end - k * shift]
@@ -431,20 +405,16 @@ def collective_decay_vs_od(pulse, od_values, beta, window_long, window_short, wi
     the initial flash decay.  Gamma_coll is read at the default settle
     delay of collective_rate_at_switchoff.
 
-    Every OD raises the same single-atom transmission t to its own atom
-    number N, so log t is taken once per sweep and each OD's t ** N comes
-    from spectra._integer_power, written into one buffer and checked for
-    passivity as transfer_unidirectional checks it.
+    Every OD raises the same single-atom response to its own atom number
+    N, bitwise as transfer_unidirectional does, so the log that
+    TransferSpectrum.__pow__ takes from N = 100 on is taken once per sweep.
     """
-    t = single_atom_coefficients(pulse.detunings(), beta)[0]
-    log_t = _power_log(t)
-    buffer = np.empty_like(log_t)
+    delta = pulse.detunings()
+    single = TransferSpectrum(delta, single_atom_coefficients(delta, beta)[0])
     points = []
     for od in od_values:
         ens = EnsembleSpec.from_od(od, beta)
-        transmission = _integer_power(t, ens.n_atoms, log_t, out=buffer)
-        _check_passive(transmission)
-        traj = _atom_dynamics(pulse, ens, transmission)
+        traj = atom_dynamics(pulse, ens, single ** ens.n_atoms)
         cap = window_long if od <= window_short_od else window_short
         fit = fit_initial_decay(pulse.t, traj.transmitted_power, pulse.switch_off, cap,
                                 settle_delay)

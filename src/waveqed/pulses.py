@@ -80,9 +80,9 @@ class PulseWaveform:
             raise ValueError(f"carrier_detuning must be finite, got {self.carrier_detuning}")
         if self.switch_off is not None and not math.isfinite(self.switch_off):
             raise ValueError(f"switch_off must be finite or None, got {self.switch_off}")
-        dt = t[1] - t[0]
-        energy = float(np.sum(np.abs(envelope) ** 2) * dt)
-        if abs(energy - self.photon_number) > 1e-9 * max(self.photon_number, 1e-300):
+        energy = _energy(envelope, t[1] - t[0])
+        # written so that a NaN envelope fails
+        if not abs(energy - self.photon_number) <= 1e-9 * max(self.photon_number, 1e-300):
             raise ValueError(
                 f"envelope energy {energy} inconsistent with photon_number {self.photon_number}"
             )
@@ -127,12 +127,29 @@ class PulseWaveform:
         pulse.__dict__["spectrum"] = self.spectrum
         return pulse
 
+    def with_envelope(self, envelope) -> PulseWaveform:
+        """Another envelope on this pulse's time grid, carrier and switch_off.
+
+        The grid was checked when this pulse was built, so only the shape
+        and a finite energy are; the photon number is that energy.
+        """
+        envelope = np.asarray(envelope, dtype=complex)
+        if envelope.shape != self.t.shape:
+            raise ValueError("time grid and envelope must have matching shapes")
+        energy = _energy(envelope, self.dt)
+        if not energy < math.inf:  # NaN fails too
+            raise ValueError(f"envelope energy must be finite, got {energy}")
+        pulse = object.__new__(PulseWaveform)
+        vars(pulse).update(t=self.t, envelope=envelope, carrier_detuning=self.carrier_detuning,
+                           photon_number=energy, switch_off=self.switch_off)
+        return pulse
+
     def power(self):
         """Instantaneous photon flux |envelope|^2."""
         return np.abs(self.envelope) ** 2
 
     def energy(self) -> float:
-        return float(np.sum(self.power()) * self.dt)
+        return _energy(self.envelope, self.dt)
 
 
 def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
@@ -206,6 +223,11 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _energy(envelope, dt) -> float:
+    """The photon number sum |envelope|^2 dt, in one pass."""
+    return float(np.vdot(envelope, envelope).real) * float(dt)
+
+
 def _read_only(array):
     array.flags.writeable = False
     return array
@@ -229,38 +251,44 @@ def propagate_pulse(pulse: PulseWaveform, medium: TransferSpectrum) -> PulseWave
     """Transmit a pulse through a medium response.
 
     out(t) = F^{-1}[ u(delta) * T(delta) ] with the pulse spectrum centered
-    at its carrier detuning, so the medium must be sampled exactly on
-    ``pulse.detunings()``.  The operation is linear and grid-exact: scaling
-    the input scales the output, and circular time shifts commute with it.
+    at its carrier detuning, so the medium must hold ``pulse.detunings()``:
+    as its grid, or as G consecutive points of a longer grid, such as a
+    union grid that serves several carriers (see _window).  The operation
+    is linear and grid-exact: scaling the input scales the output, and
+    circular time shifts commute with it.
     """
-    _check_grid(pulse, medium.delta)
-    out = _propagate(pulse, medium.amplitude)
-    energy = float(np.sum(np.abs(out) ** 2) * pulse.dt)
-    return PulseWaveform(pulse.t, out, pulse.carrier_detuning, energy,
-                         switch_off=pulse.switch_off)
-
-
-def _check_grid(pulse: PulseWaveform, delta):
-    """Raise unless delta is pulse.detunings() to 1e-9 of the grid's extent."""
-    expected = pulse.detunings()
-    if delta.shape != expected.shape or not np.allclose(
-        delta, expected, rtol=0.0, atol=1e-9 * (abs(expected[0]) + abs(expected[-1]) + 1.0)
-    ):
-        raise ValueError(
-            "grid mismatch: medium must be sampled on pulse.detunings() "
-            f"(medium spans [{delta[0]:.6g}, {delta[-1]:.6g}], "
-            f"pulse expects [{expected[0]:.6g}, {expected[-1]:.6g}])"
-        )
-
-
-def _propagate(pulse: PulseWaveform, amplitude):
-    """The output field of propagate_pulse, unchecked: amplitude must be
-    sampled on pulse.detunings() (_check_grid) and passive."""
+    amplitude = medium.amplitude[_window(pulse, medium.delta)]
     # in place on the shifted copy, the spectrum still the first operand:
     # numpy's complex product rounds some last bits differently swapped
     field = np.fft.ifftshift(amplitude)
     np.multiply(pulse.spectrum, field, out=field)
-    return np.fft.ifft(field)
+    return pulse.with_envelope(np.fft.ifft(field))
+
+
+def _window(pulse: PulseWaveform, delta):
+    """The slice of delta that is pulse.detunings(), to 1e-9 of the grid's extent.
+
+    In O(1): delta is the detunings array itself, or, both grids being
+    uniform (checked when each was built), its slice is the one whose end
+    points match theirs.
+    """
+    expected = pulse.detunings()
+    if delta is expected:
+        return slice(None)
+    n = expected.size
+    start = 0
+    if delta.size > n:  # expected[0]'s index in delta, by delta's mean step
+        start = round((expected[0] - delta[0]) * (delta.size - 1) / (delta[-1] - delta[0]))
+    stop = start + n
+    tol = 1e-9 * (abs(expected[0]) + abs(expected[-1]) + 1.0)
+    if not (0 <= start and stop <= delta.size and abs(delta[start] - expected[0]) <= tol
+            and abs(delta[stop - 1] - expected[-1]) <= tol):
+        raise ValueError(
+            "grid mismatch: medium must hold pulse.detunings() "
+            f"(medium spans [{delta[0]:.6g}, {delta[-1]:.6g}] in {delta.size} points, "
+            f"pulse expects [{expected[0]:.6g}, {expected[-1]:.6g}] in {n})"
+        )
+    return slice(start, stop)
 
 
 @dataclass(frozen=True)
@@ -296,7 +324,7 @@ def atom_spectra(pulse: PulseWaveform, ensemble: EnsembleSpec):
     yield from _cascade_amplitudes(pulse.carrier_detuning + pulse.omega, ensemble, pulse.spectrum)
 
 
-def _strided_power(spectrum, stride):
+def strided_power(spectrum, stride):
     """|ifft(spectrum)|^2 at every stride-th sample.
 
     When the stride divides the grid, folding the spectrum onto G/stride
@@ -309,7 +337,8 @@ def _strided_power(spectrum, stride):
     return np.abs(np.fft.ifft(folded)) ** 2 / stride ** 2
 
 
-def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec) -> AtomTrajectorySet:
+def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
+                  medium: TransferSpectrum | None = None) -> AtomTrajectorySet:
     """Stored excitation, collective rate and output flux of a pulse
     driving the forward cascade.
 
@@ -317,21 +346,14 @@ def atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec) -> AtomTrajector
     dE/dt = P_in - P_out - (1 - beta) E (Gardiner 1993; Carmichael 1993),
     the per-atom balances telescoped, so gamma_coll = -dE/dt / E is exact
     and E is one FFT solve of the balance: no per-atom transform runs.
+    medium is the cascade's transmission on pulse.detunings(), that of
+    transfer_unidirectional (computed here when None); an OD sweep passes
+    each OD's as a power of one single-atom response.
     """
-    return _atom_dynamics(pulse, ensemble,
-                          transfer_unidirectional(pulse.detunings(), ensemble).amplitude)
-
-
-def _atom_dynamics(pulse: PulseWaveform, ensemble: EnsembleSpec,
-                   transmission) -> AtomTrajectorySet:
-    """atom_dynamics given the cascade's transmission t^N, unchecked: it must
-    be sampled on pulse.detunings() and passive.  It is only read, so a
-    caller may reuse its buffer once this returns."""
+    if medium is None:
+        medium = transfer_unidirectional(pulse.detunings(), ensemble)
     omega = pulse.omega
-    transmitted = np.abs(_propagate(pulse, transmission)) ** 2
-    # atom_dynamics passes t^N in the call, so this frees it before the
-    # energy solve: fewer fresh pages on large grids
-    del transmission
+    transmitted = propagate_pulse(pulse, medium).power()
     flux = pulse.power()
     flux -= transmitted
     loss_rate = 1.0 - ensemble.beta

@@ -30,10 +30,10 @@ from .fitting import (
 )
 from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, od_to_atom_number, resonant_od
 from .pulses import (
-    _strided_power,
     atom_dynamics,
     atom_spectra,
     propagate_pulse,
+    strided_power,
     synthesize_pulse,
     time_grid,
 )
@@ -406,9 +406,9 @@ def _run_fig2(config: ScenarioConfig) -> dict:
     colormap = np.empty((ens.n_atoms, map_t.size))
     # each atom's u * phi_n, transformed only at the samples written
     for n, q in enumerate(atom_spectra(pulse, ens), start=1):
-        colormap[n - 1] = _strided_power(q, map_stride)[:map_t.size]
+        colormap[n - 1] = strided_power(q, map_stride)[:map_t.size]
         if n in labels:
-            traces[n] = _strided_power(q, trace_stride)[:trace_t.size]
+            traces[n] = strided_power(q, trace_stride)[:trace_t.size]
 
     tables["atom_traces"] = [("time", "ns", _ns_column(config, trace_t))] + [
         (f"p_atom_{label}", "probability", traces[label]) for label in labels]

@@ -19,7 +19,6 @@ from .disorder import DisorderModel, average_observable, sample_configuration
 from .fitting import fit_pulse_decay
 from .physics import EnsembleSpec
 from .pulses import (
-    PulseWaveform,
     atom_dynamics,
     atom_spectra,
     propagate_pulse,
@@ -51,12 +50,6 @@ def _medium(pulse, od=5.0):
     return transfer_unidirectional(pulse.detunings(), EnsembleSpec.from_od(od, beta=0.01))
 
 
-def _with_envelope(pulse, envelope):
-    """The pulse with another envelope on the same grid and carrier."""
-    energy = float(np.sum(np.abs(envelope) ** 2) * pulse.dt)
-    return PulseWaveform(pulse.t, envelope, pulse.carrier_detuning, energy, pulse.switch_off)
-
-
 def _two_way_powers(grid):
     """Observable: transmitted then reflected power on grid, concatenated."""
     def observable(ens):
@@ -71,7 +64,7 @@ def check_linearity() -> CheckResult:
     out = propagate_pulse(pulse, medium).envelope
     worst = 0.0
     for c in (0.37 - 1.21j, 2.0, 0.3 - 0.8j, -1j):
-        scaled = propagate_pulse(_with_envelope(pulse, c * pulse.envelope), medium).envelope
+        scaled = propagate_pulse(pulse.with_envelope(c * pulse.envelope), medium).envelope
         worst = max(worst, np.max(np.abs(scaled - c * out)) / np.max(np.abs(c * out)))
     return CheckResult("linearity", bool(worst < 1e-12), f"max relative deviation {worst:.2e}")
 
@@ -82,7 +75,7 @@ def check_time_invariance() -> CheckResult:
     out = propagate_pulse(pulse, medium).envelope
     worst = 0.0
     for shift in (1, 173, 257, 1024):
-        rolled = _with_envelope(pulse, np.roll(pulse.envelope, shift))
+        rolled = pulse.with_envelope(np.roll(pulse.envelope, shift))
         err = np.max(np.abs(propagate_pulse(rolled, medium).envelope - np.roll(out, shift)))
         worst = max(worst, err / np.max(np.abs(out)))
     return CheckResult("time_invariance", bool(worst < 1e-12),

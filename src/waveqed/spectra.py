@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ def _uniform_grid(values, name="detuning grid"):
         raise ValueError(f"{name} must be one-dimensional")
     if values.size > 1:
         steps = np.diff(values)
-        if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        # every step within 1e-9 of the first, written so that NaN and Inf fail
+        if not (0 < steps[0] < math.inf and np.abs(steps - steps[0]).max() <= 1e-9 * steps[0]):
             raise ValueError(f"{name} must be uniform and increasing")
     return values
 
@@ -70,30 +72,15 @@ def detuning_grid(span, n):
     return (np.arange(n) - n // 2) * step
 
 
-def _check_passive(amplitude):
+def _passive(amplitude, shape):
+    """amplitude as a complex array of the grid's shape, with |amplitude| <= 1."""
+    amplitude = np.asarray(amplitude, dtype=complex)
+    if amplitude.shape != shape:
+        raise ValueError("delta and amplitude must have matching shapes")
     peak = float(np.max(np.abs(amplitude)))
     if peak > 1.0 + 1e-9:
         raise ValueError(f"passive response requires |amplitude| <= 1, got max {peak}")
-
-
-@dataclass(frozen=True)
-class TransferSpectrum:
-    """Complex amplitude response sampled on a uniform detuning grid."""
-
-    delta: np.ndarray
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        delta = _validate_grid(self.delta)
-        amplitude = np.asarray(self.amplitude, dtype=complex)
-        if amplitude.shape != delta.shape:
-            raise ValueError("delta and amplitude must have matching shapes")
-        _check_passive(amplitude)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "amplitude", amplitude)
-
-    def power(self):
-        return np.abs(self.amplitude) ** 2
+    return amplitude
 
 
 # numpy raises a complex array to an integer power n by repeated
@@ -102,33 +89,59 @@ class TransferSpectrum:
 _LOG_POWER_MIN = 100
 
 
-def _power_log(t):
-    """np.log(t) for _integer_power; t = 0 (beta = 1/2 on resonance) gives -inf quietly."""
-    with np.errstate(divide="ignore"):
-        return np.log(t)
+@dataclass(frozen=True)
+class TransferSpectrum:
+    """Complex amplitude response sampled on a uniform detuning grid.
 
-
-def _integer_power(t, n, log_t=None, out=None):
-    """t ** n for an integer n >= 0, bitwise as numpy computes it.
-
-    From n = _LOG_POWER_MIN on, numpy's t ** n is exp(n log t).  A caller
-    raising one t to several such n passes log_t = _power_log(t), taken
-    once, together with a buffer out of t's shape that receives the exp;
-    a caller passing neither gets the log taken here, its array holding the
-    exp.  Below _LOG_POWER_MIN the result is a new array t ** n and out is
-    not written.
+    Any uniform increasing grid will do: only a pulse's FFT grid needs a
+    power-of-two length, and propagate_pulse reads a pulse's window out
+    of a longer grid.  The grid is checked once, here, and the response
+    for passivity.
     """
-    if (log_t is None) != (out is None):
-        raise TypeError("pass log_t and out together, or neither")
-    if n < _LOG_POWER_MIN:
-        return t ** n
-    if log_t is None:
-        log_t = out = _power_log(t)
-    with np.errstate(invalid="ignore"):  # n (-inf + 0j) has a NaN imaginary part
-        out = np.multiply(log_t, n, out=out)
-    np.exp(out, out=out)
-    out[t == 0] = 0  # numpy's 0 ** n is +0 + 0j; exp(-inf + NaN j) may carry -0j
-    return out
+
+    delta: np.ndarray
+    amplitude: np.ndarray
+
+    def __post_init__(self):
+        delta = _uniform_grid(self.delta)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "amplitude", _passive(self.amplitude, delta.shape))
+
+    def power(self):
+        return np.abs(self.amplitude) ** 2
+
+    @cached_property
+    def _log(self):
+        # a zero amplitude (beta = 1/2 on resonance) has log -inf, quietly
+        with np.errstate(divide="ignore"):
+            return np.log(self.amplitude)
+
+    def __pow__(self, n) -> TransferSpectrum:
+        """The response to an integer power n >= 0, bitwise as numpy's amplitude ** n.
+
+        From n = _LOG_POWER_MIN on numpy computes exp(n log t), so the log
+        is taken once per response and shared by every such n (an OD sweep
+        raises one single-atom response to each OD's atom number).
+        """
+        n = _require_integer("exponent", n)
+        if n < 0:
+            raise ValueError(f"exponent must be non-negative, got {n}")
+        if n < _LOG_POWER_MIN:
+            return _response(self.delta, self.amplitude ** n)
+        with np.errstate(invalid="ignore"):  # n (-inf + 0j) has a NaN imaginary part
+            power = self._log * n
+        np.exp(power, out=power)
+        # numpy's 0 ** n is +0 + 0j; exp(-inf + NaN j) may carry -0j
+        power[self.amplitude == 0] = 0
+        return _response(self.delta, power)
+
+
+def _response(delta, amplitude) -> TransferSpectrum:
+    """A TransferSpectrum on delta, a grid checked before: only the amplitude is."""
+    spectrum = object.__new__(TransferSpectrum)
+    object.__setattr__(spectrum, "delta", delta)
+    object.__setattr__(spectrum, "amplitude", _passive(amplitude, delta.shape))
+    return spectrum
 
 
 def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
@@ -136,13 +149,11 @@ def transfer_unidirectional(delta, ensemble: EnsembleSpec) -> TransferSpectrum:
 
     t_N(delta) = (1 - beta / (1/2 + i delta))^N
 
-    Independent of the positional phases.  For N >= 100 the power is
-    exp(N log t), bitwise equal to numpy's t ** N (numpy takes libm's cpow
-    there, and multiplies repeatedly below |N| = 100), so an OD sweep can
-    take log t once for every N (_integer_power).
+    Independent of the positional phases: the single-atom response to the
+    power N (TransferSpectrum.__pow__, bitwise numpy's t ** N).
     """
-    return TransferSpectrum(delta, _integer_power(
-        single_atom_coefficients(delta, ensemble.beta)[0], ensemble.n_atoms))
+    single = single_atom_coefficients(delta, ensemble.beta)[0]
+    return TransferSpectrum(delta, single) ** ensemble.n_atoms
 
 
 def _cascade_amplitudes(delta, ensemble: EnsembleSpec, weight=None):
@@ -214,7 +225,7 @@ _POLY_TAIL = 1e-20
 
 
 def _recursion(delta, ensemble, eps):
-    """(prod_n t_n, s_1) of the two-way recursion on a uniform grid.
+    """(prod_n t_n, s_1) of the two-way recursion on a checked uniform grid.
 
     Every atom is passive (beta <= 1/2), so the reflection carried from
     the far end keeps |s| <= 1 (to ~1e-12 in floating point) and every
@@ -224,9 +235,6 @@ def _recursion(delta, ensemble, eps):
     and as the homogeneous pair elsewhere; otherwise (beta at or next to
     1/2) the screened one counts the degenerate points and warns.
     """
-    # Any uniform increasing grid: only the FFT needs a power-of-two length,
-    # so callers may evaluate one union grid for several pulse grids.
-    delta = _uniform_grid(delta)
     margin = 0.5 - ensemble.beta
     if margin > 2.0 * max(eps, RECURSION_EPS):
         block = _LONG_BLOCK if margin >= _LONG_BLOCK_MARGIN else _SHORT_BLOCK
@@ -448,13 +456,14 @@ def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
         s_n = (t_n - 1) e^{i theta_n} + s_{n+1} t_n
 
     with theta_n the stored positional phase.  Returns the pair
-    (transmission, reflection) = (prod_n t_n, s_1) as TransferSpectrum.
-    Degenerate denominators (modulus < eps) trigger a
-    DegenerateDenominatorWarning; the values are still computed.
+    (transmission, reflection) = (prod_n t_n, s_1) as TransferSpectrum on
+    delta, any uniform grid, checked once for both.  Degenerate denominators
+    (modulus < eps) trigger a DegenerateDenominatorWarning; the values are
+    still computed.
     """
-    delta = _validate_grid(delta)
+    delta = _uniform_grid(delta)
     t_prod, s = _recursion(delta, ensemble, eps)
-    return TransferSpectrum(delta, t_prod), TransferSpectrum(delta, s)
+    return _response(delta, t_prod), _response(delta, s)
 
 
 @dataclass(frozen=True)
@@ -510,4 +519,4 @@ def transfer_cavity(t_medium: TransferSpectrum, cavity: CavitySpec) -> TransferS
         )
     with np.errstate(invalid="ignore", divide="ignore"):
         amplitude = (loop - cavity.t_c) / den
-    return TransferSpectrum(t_medium.delta, amplitude)
+    return _response(t_medium.delta, amplitude)

@@ -37,8 +37,8 @@ MUTANTS = (
       "test_fig2_samples_each_atoms_full_resolution_excitation",)),
     ("the colormap is folded at the trace stride",
      "src/waveqed/scenarios.py",
-     "_strided_power(q, map_stride)",
-     "_strided_power(q, trace_stride)",
+     "strided_power(q, map_stride)",
+     "strided_power(q, trace_stride)",
      ("tests/test_scenarios.py::TestRunScenario::"
       "test_fig2_samples_each_atoms_full_resolution_excitation",)),
     ("exp(N log t) from N = 50, where numpy still multiplies repeatedly",
@@ -121,6 +121,33 @@ MUTANTS = (
      "(degree)",
      ("tests/test_spectra.py::TestPolynomialRecursion::"
       "test_bound_is_the_running_error_of_horner_and_the_recurrence",)),
+    ("propagate_pulse matches a medium's window to 10x the tolerance",
+     "src/waveqed/pulses.py",
+     "tol = 1e-9 * (abs(expected[0])",
+     "tol = 1e-8 * (abs(expected[0])",
+     ("tests/test_pulses.py::TestPropagate::test_shifted_grid_rejected",)),
+    ("propagate_pulse's window in a longer grid starts one point late",
+     "src/waveqed/pulses.py",
+     "start = round((expected[0] - delta[0])",
+     "start = 1 + round((expected[0] - delta[0])",
+     ("tests/test_pulses.py::TestPropagate::test_union_grid_window_equals_the_sliced_response",)),
+    ("with_envelope lets a NaN energy pass",
+     "src/waveqed/pulses.py",
+     "        if not energy < math.inf:  # NaN fails too\n"
+     "            raise ValueError(f\"envelope energy must be finite, got {energy}\")\n",
+     "",
+     ("tests/test_pulses.py::TestPropagate::test_nan_response_rejected",)),
+    ("TransferSpectrum ** n leaves exp(-inf + NaN j) where the amplitude is 0",
+     "src/waveqed/spectra.py",
+     "        power[self.amplitude == 0] = 0",
+     "        pass",
+     ("tests/test_spectra.py::TestIntegerPower::"
+      "test_zero_transmission_is_a_quiet_positive_zero",)),
+    ("transfer_bidirectional scales an active reflection down instead of rejecting it",
+     "src/waveqed/spectra.py",
+     "_response(delta, t_prod), _response(delta, s)",
+     "_response(delta, t_prod), _response(delta, s / max(1.0, np.abs(s).max()))",
+     ("tests/test_spectra.py::TestBidirectional::test_each_response_checked_for_passivity",)),
 )
 
 

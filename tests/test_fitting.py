@@ -170,6 +170,11 @@ def per_carrier_reference(carriers, n_configs, seed):
     return np.array(traces), np.array(rates)
 
 
+def window_start(grid, pulse):
+    """The index in grid of the pulse's first detuning."""
+    return round((pulse.detunings()[0] - grid[0]) / (grid[1] - grid[0]))
+
+
 class TestSharedGridSweep:
     @pytest.mark.parametrize("carriers, n_groups", [
         ((0.5, 1.5, 3.0), 1),     # all on the 0.125 step
@@ -188,13 +193,12 @@ class TestSharedGridSweep:
         assert np.max(np.abs(traces - ref_traces)) <= 1e-9
 
         calls = []
-        recursion = fitting._recursion
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return recursion(*args, **kwargs)
+        def counted(delta, ens, *args, **kwargs):
+            calls.append(len(delta))
+            return transfer_bidirectional(delta, ens, *args, **kwargs)
 
-        monkeypatch.setattr(fitting, "_recursion", counted)
+        monkeypatch.setattr(fitting, "transfer_bidirectional", counted)
         sweep = backward_decay_sweep(small_pulses(carriers[:1])[0], SMALL_ATOMS, carriers,
                                      SMALL_BETA, n_configs, seed, WINDOW_SHORT, WINDOW_LONG,
                                      SETTLE_DELAY)
@@ -204,18 +208,20 @@ class TestSharedGridSweep:
         assert [r.detuning for r in sweep] == list(carriers)
 
     def test_powers_bitwise_equal_to_propagate_pulse(self):
-        # the pipeline's unchecked propagation rounds exactly as the public
-        # one; at 2^15 points numpy multiplies into an unnamed temporary with
-        # the operands swapped, so an expression written otherwise would not
+        # each pulse's window of the union-grid responses propagates exactly
+        # as the response sliced to its own grid; at 2^15 points numpy
+        # multiplies into an unnamed temporary with the operands swapped
         n = 2 ** 15
         pulses = small_pulses((0.5, 1.5, -0.25), n)
         ens = sample_configuration(DisorderModel(SMALL_ATOMS, SMALL_BETA, seed=3), 0)
         powers = fitting._directional_powers(pulses)(ens)
         (grid, members), = fitting._shared_grids(pulses)
-        t_prod, s = fitting._recursion(grid, ens, fitting.RECURSION_EPS)
-        for i, start in members:
-            for row, amplitude in enumerate((t_prod, s)):
-                medium = TransferSpectrum(grid[start:start + n], amplitude[start:start + n])
+        responses = transfer_bidirectional(grid, ens)
+        for i in members:
+            start = window_start(grid, pulses[i])
+            for row, response in enumerate(responses):
+                medium = TransferSpectrum(grid[start:start + n],
+                                          response.amplitude[start:start + n])
                 assert np.array_equal(powers[i, row], propagate_pulse(pulses[i], medium).power())
 
     def test_forward_average_bitwise_equal_to_propagate_pulse(self):
@@ -230,9 +236,12 @@ class TestSharedGridSweep:
         (grid, members), = fitting._shared_grids(pulses)
         n = SMALL_GRID["grid_points"]
         assert grid.size == n + 14  # offsets 0, +8 and -6 steps
-        for (i, start), pulse in zip(members, pulses):
+        assert members == [0, 1, 2]
+        starts = [window_start(grid, pulse) for pulse in pulses]
+        assert starts == [6, 14, 0]
+        for start, pulse in zip(starts, pulses):
             assert np.allclose(grid[start:start + n], pulse.detunings(), rtol=0.0, atol=1e-12)
-        assert np.array_equal(grid[members[0][1]:members[0][1] + n], pulses[0].detunings())
+        assert np.array_equal(grid[6:6 + n], pulses[0].detunings())
 
     def test_distant_carrier_gets_its_own_grid(self):
         # 600 is a whole number of steps away but its grid misses [-256, 256)

@@ -189,6 +189,8 @@ def _fit(**overrides):
                  id="photon_number-inf"),
     pytest.param("photon_number", lambda: _pulse(photon_number=-1.0),
                  id="photon_number-negative"),
+    pytest.param("envelope energy", lambda: replace(_pulse(), envelope=np.full(2 ** 12, NAN)),
+                 id="envelope-nan"),
     pytest.param("carrier_detuning", lambda: replace(_pulse(), carrier_detuning=NAN),
                  id="carrier-nan"),
     pytest.param("duration", lambda: _pulse(duration=NAN), id="duration-nan"),

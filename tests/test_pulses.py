@@ -15,11 +15,12 @@ from waveqed import (
     fit_pulse_decay,
     od_to_atom_number,
     propagate_pulse,
+    strided_power,
     synthesize_pulse,
     time_grid,
     transfer_unidirectional,
 )
-from waveqed.pulses import ENERGY_FLOOR, _strided_power
+from waveqed.pulses import ENERGY_FLOOR
 from waveqed.scenarios import _pulse as scenario_pulse
 
 from oracles import ode_cascade_populations, uniform_cascade_output
@@ -107,6 +108,39 @@ class TestPropagate:
                                  np.ones(pulse.t.size, dtype=complex))
         with pytest.raises(ValueError, match="grid mismatch"):
             propagate_pulse(pulse, wrong)
+
+    def test_nan_response_rejected(self):
+        # the response constructs (|NaN| <= 1 is not false), the output's energy check stops it
+        pulse = small_pulse(carrier=1.5)
+        amplitude = np.ones(pulse.t.size, dtype=complex)
+        amplitude[100] = np.nan
+        medium = TransferSpectrum(pulse.detunings(), amplitude)
+        with pytest.raises(ValueError, match="finite"):
+            propagate_pulse(pulse, medium)
+
+    @pytest.mark.parametrize("extra", [0, 8], ids=["same-length", "longer"])
+    @pytest.mark.parametrize("shift", [1e-6, 0.5], ids=["1e-6-step", "half-step"])
+    def test_shifted_grid_rejected(self, shift, extra):
+        # 256 points: 1e-6 of a step is about 4x the window's tolerance, but below 10x
+        pulse = synthesize_pulse(time_grid(16.0, 2 ** 8), 6.0, 1.6, start=4.0)
+        expected = pulse.detunings()
+        step = expected[1] - expected[0]
+        grid = expected[0] + step * (np.arange(-extra, expected.size + extra) + shift)
+        medium = TransferSpectrum(grid, np.ones(grid.size, dtype=complex))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            propagate_pulse(pulse, medium)
+
+    def test_union_grid_window_equals_the_sliced_response(self):
+        # the pulse's grid sits 5 whole steps into a longer one
+        pulse = small_pulse(carrier=1.5)
+        expected = pulse.detunings()
+        union = expected[0] + (expected[1] - expected[0]) * np.arange(-5, expected.size + 3)
+        medium = transfer_unidirectional(union, EnsembleSpec.from_od(3.0, beta=0.01))
+        window = slice(5, 5 + expected.size)
+        sliced = TransferSpectrum(union[window], medium.amplitude[window])
+        out = propagate_pulse(pulse, medium)
+        assert out.envelope.tobytes() == propagate_pulse(pulse, sliced).envelope.tobytes()
+        assert out.photon_number < pulse.photon_number
 
     def test_aliasing_guard_trips_on_hard_boxcar(self):
         # a 1/Gamma0 boxcar has ~omega^-2 spectral tails well above the guard
@@ -206,7 +240,7 @@ class TestAtomDynamics:
         # 2, 4 and 8 divide the 2^12-point grid and fold the spectrum; 3 does not
         pulse = small_pulse(carrier=1.0)
         ens = EnsembleSpec.uniform(20, 0.03)
-        strided = np.array([_strided_power(q, stride) for q in atom_spectra(pulse, ens)])
+        strided = np.array([strided_power(q, stride) for q in atom_spectra(pulse, ens)])
         full = populations(pulse, ens)[:, ::stride]
         assert strided.shape == full.shape
         assert np.max(np.abs(strided - full)) <= 1e-15 * full.max()

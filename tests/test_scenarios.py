@@ -414,14 +414,14 @@ class TestRunScenario:
                                           cascades):
         # the transmitted power comes from atom_dynamics, not from a second propagation
         calls = []
-        propagate = pulses._propagate
+        propagate = pulses.propagate_pulse
 
         def counted(*args):
             calls.append(args[0].t.size)
             return propagate(*args)
 
-        for module in (fitting, pulses):
-            monkeypatch.setattr(module, "_propagate", counted)
+        for module in (fitting, pulses, scenarios):
+            monkeypatch.setattr(module, "propagate_pulse", counted)
         run_scenario(config_from_dict(tiny_custom(tmp_path, scenario=scenario, **extra)))
         assert len(calls) == cascades
 

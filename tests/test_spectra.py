@@ -15,7 +15,10 @@ from waveqed import (
     detuning_grid,
     excitation_amplitudes,
     od_to_atom_number,
+    propagate_pulse,
     single_atom_coefficients,
+    synthesize_pulse,
+    time_grid,
     transfer_bidirectional,
     transfer_cavity,
     transfer_unidirectional,
@@ -73,8 +76,14 @@ class TestGridAndSpectrum:
         g = detuning_grid(4.0, 8)
         with pytest.raises(ValueError):
             TransferSpectrum(g, 1.5 * np.ones(8, dtype=complex))
-        with pytest.raises(ValueError):
-            TransferSpectrum(g[:7], np.ones(7, dtype=complex))
+        for grid in (np.delete(g, 3), [0.0, 1.0, math.inf], [0.0, math.inf], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="uniform"):
+                TransferSpectrum(grid, np.ones(len(grid), dtype=complex))
+        # any uniform grid constructs; only a pulse's own grid propagates it
+        seven = TransferSpectrum(g[:7], np.ones(7, dtype=complex))
+        pulse = synthesize_pulse(time_grid(256.0, 2 ** 12), 3.0, 0.2, start=2.0)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            propagate_pulse(pulse, seven)
 
 
 class TestUnidirectional:
@@ -113,36 +122,33 @@ class TestIntegerPower:
         config = scenarios.config_from_dict({"scenario": "fig3"})
         counts = [od_to_atom_number(od, config.beta) for od in config.od_values]
         assert len(counts) == 12 and min(counts) < 100 < max(counts)
-        t = single_atom_coefficients(detuning_grid(config.span, config.grid_points),
-                                     config.beta)[0]
-        log_t = spectra._power_log(t)
+        grid = detuning_grid(config.span, config.grid_points)
+        t = single_atom_coefficients(grid, config.beta)[0]
+        single = TransferSpectrum(grid, t)
         pinned = json.loads(GOLDEN.read_text())["numpy"] == np.__version__
-        for n in [1, 2, 99, 100, 101] + counts:
-            expected = t ** n
-            for power in (spectra._integer_power(t, n),
-                          spectra._integer_power(t, n, log_t, out=np.empty_like(t))):
-                if pinned:
-                    assert power.tobytes() == expected.tobytes(), n
-                else:
-                    assert np.allclose(power, expected, rtol=1e-10, atol=0.0), n
+        for n in [0, 1, 2, 99, spectra._LOG_POWER_MIN, 101] + counts:
+            power, expected = single ** n, t ** n
+            assert power.delta is single.delta
+            if pinned:
+                assert power.amplitude.tobytes() == expected.tobytes(), n
+            else:
+                assert np.allclose(power.amplitude, expected, rtol=1e-10, atol=0.0), n
 
     def test_zero_transmission_is_a_quiet_positive_zero(self):
         # beta = 1/2 on resonance: t = 0, whose log is -inf
         t = single_atom_coefficients(np.array([-1.0, 0.0, 1.0]), 0.5)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            power = spectra._integer_power(t, 150)
+            power = (TransferSpectrum([-1.0, 0.0, 1.0], t) ** 150).amplitude
         assert power[1:2].tobytes() == (t[1:2] ** 150).tobytes() == np.zeros(1, complex).tobytes()
         assert np.allclose(power, t ** 150, rtol=1e-12, atol=0.0)
         assert transfer_unidirectional(detuning_grid(1.0, 8),
                                        EnsembleSpec.uniform(150, 0.5)).amplitude[4] == 0
 
-    def test_log_and_buffer_come_together(self):
-        t = single_atom_coefficients(np.array([-1.0, 0.0, 1.0]), 0.1)[0]
-        with pytest.raises(TypeError, match="together"):
-            spectra._integer_power(t, 150, out=np.empty_like(t))
-        with pytest.raises(TypeError, match="together"):
-            spectra._integer_power(t, 150, spectra._power_log(t))
+    @pytest.mark.parametrize("n", [-1, 2.0, True])
+    def test_exponent_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(ValueError, match="exponent"):
+            TransferSpectrum([0.0, 1.0], [0.5, 0.5]) ** n
 
 
 class TestExcitationAmplitudes:
@@ -172,6 +178,20 @@ class TestExcitationAmplitudes:
 
 
 class TestBidirectional:
+    @pytest.mark.parametrize("active", [0, 1], ids=["transmission", "reflection"])
+    def test_each_response_checked_for_passivity(self, monkeypatch, active):
+        # passive atoms keep both |T| and |s| <= 1, so feed the check an active one
+        recursion = spectra._recursion
+
+        def amplified(*args):
+            responses = list(recursion(*args))
+            responses[active] = 1.5 * np.ones_like(responses[active])
+            return tuple(responses)
+
+        monkeypatch.setattr(spectra, "_recursion", amplified)
+        with pytest.raises(ValueError, match="passive"):
+            transfer_bidirectional(detuning_grid(4.0, 8), EnsembleSpec.uniform(3, 0.1))
+
     def test_single_atom_reduction(self):
         g = detuning_grid(16.0, 64)
         for theta in (0.0, 1.1, 4.0):
@@ -368,7 +388,7 @@ def exponential_tail(bound, degree):
     """sum_{j > degree} bound^j / j!, to 120 digits."""
     with decimal.localcontext() as context:
         context.prec = 120
-        r, term, head = decimal.Decimal(repr(bound)), decimal.Decimal(1), decimal.Decimal(1)
+        r, term, head = decimal.Decimal(float(bound)), decimal.Decimal(1), decimal.Decimal(1)
         for j in range(1, degree + 1):
             term = term * r / j
             head += term
