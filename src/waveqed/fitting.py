@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderModel, average_observable
-from .physics import EnsembleSpec, Units, single_atom_coefficients
+from .physics import EnsembleSpec, single_atom_coefficients
 from .pulses import _require_finite, atom_dynamics, collective_rate_at_switchoff, propagate_pulse
 from .spectra import TransferSpectrum, transfer_bidirectional, transfer_unidirectional
 
-SETTLE_DELAY = Units().time_from_si(1e-9)      # skip the switch-off transient
 FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
 FIT_CYCLES = 2.0                               # initial-decay window, in decay times
 FIT_PASSES = 3                                 # bootstrap fit, then refits at the adapted window
@@ -57,8 +56,7 @@ class DecayFit:
         return self.amplitude * np.exp(-self.rate * (np.asarray(t) - self.window[0]))
 
 
-def fit_pulse_decay(t, power, t_off, window_len, settle_delay=SETTLE_DELAY,
-                    min_points=8) -> DecayFit:
+def fit_pulse_decay(t, power, t_off, window_len, settle_delay, min_points=8) -> DecayFit:
     """Fit A exp(-rate t) to a power trace after switch-off.
 
     The window starts at the first sample after t_off + settle_delay and
@@ -275,11 +273,11 @@ class RingMultipass:
     """Ring run: out-coupled power with and without the medium, per roundtrip.
 
     The roundtrip lasts period samples (tau).  cavity_power and no_atom_power
-    cover the samples of the window the run reads (at least up to
-    start + (roundtrips + 1) tau).  Row m-1 of each per-roundtrip array is
-    roundtrip m: the cavity flash rate, the rate of one pass at
-    OD_tot = m * OD, the flash peak over the no-atom level, and the raw
-    cavity and single-pass power over the roundtrip, at local_time.
+    cover the samples of the window the run reads (up to ring_window_end).
+    Row m-1 of each per-roundtrip array is roundtrip m: the cavity flash
+    rate, the rate of one pass at OD_tot = m * OD, the flash peak over the
+    no-atom level, and the raw cavity and single-pass power over the
+    roundtrip, at local_time.
     """
 
     cavity_power: np.ndarray
@@ -299,6 +297,17 @@ def roundtrip_samples(tau_rt, dt) -> int:
     return max(1, round(tau_rt / dt))
 
 
+def ring_window_end(switch_off, start, tau, roundtrips, settle_delay):
+    """Where ring_multipass' window ends, for a roundtrip tau snapped to the grid.
+
+    It ends with the output table, start + (roundtrips + 1) tau, or with
+    the last roundtrip's flash fit, FLASH_WINDOW from settle_delay after
+    the switch-off that roundtrip sees, whichever comes later.
+    """
+    return max(start + (roundtrips + 1) * tau,
+               switch_off + roundtrips * tau + settle_delay + FLASH_WINDOW)
+
+
 def ring_multipass(pulse, ensemble, cavity, roundtrips, start, settle_delay) -> RingMultipass:
     """Ring multi-pass build-up compared with single passes at OD_tot = m * OD.
 
@@ -315,9 +324,7 @@ def ring_multipass(pulse, ensemble, cavity, roundtrips, start, settle_delay) -> 
     t, delta = pulse.t, pulse.detunings()
     shift = roundtrip_samples(cavity.tau_rt, pulse.dt)
     tau = shift * pulse.dt
-    # the window ends with the output table or with the last flash fit
-    t_end = max(start + (roundtrips + 1) * tau,
-                pulse.switch_off + roundtrips * tau + settle_delay + FLASH_WINDOW)
+    t_end = ring_window_end(pulse.switch_off, start, tau, roundtrips, settle_delay)
     if t_end > t[-1]:
         raise ValueError(f"time grid ends at {t[-1]:.4g}, before the ring window ends "
                          f"at {t_end:.4g}")
@@ -370,7 +377,7 @@ class CollectiveDecayPoint:
     gamma_coll: float
 
 
-def fit_initial_decay(t, power, t_off, window_cap, settle_delay=SETTLE_DELAY) -> DecayFit:
+def fit_initial_decay(t, power, t_off, window_cap, settle_delay) -> DecayFit:
     """Initial decay rate: the fit window adapts to ~FIT_CYCLES decay times.
 
     A short bootstrap window pins the flash decay first, then the window

@@ -152,6 +152,62 @@ class PulseWaveform:
         return _energy(self.envelope, self.dt)
 
 
+class PulseRuleError(ValueError):
+    """A pulse parameter that breaks a rule of synthesize_pulse.
+
+    parameter names the synthesize_pulse argument at fault ("t_grid" for a
+    time window too short), so a config can name its own field.
+    """
+
+    def __init__(self, parameter, message):
+        self.parameter = parameter
+        super().__init__(message)
+
+
+def pulse_edges(t_first, t_last, dt, duration, rise_fall, start, photon_number):
+    """(on, off, ramp) of synthesize_pulse's envelope, once its scalar rules hold.
+
+    The leading cos^2 ramp begins at on and the trailing one at off, each
+    lasting ramp (0 for a boxcar); the pulse switches off at off + ramp.
+    The grid enters by its first and last sample and its step, so a config
+    is checked before any array exists.  Raises PulseRuleError.  The
+    aliasing guard needs the pulse's FFT and runs when its spectrum is
+    first read.
+    """
+    duration = float(duration)
+    rise_fall = float(rise_fall)
+    if not duration > 0:
+        raise PulseRuleError("duration", f"duration must be positive, got {duration}")
+    if not rise_fall >= 0:
+        raise PulseRuleError("rise_fall", f"rise_fall must be non-negative, got {rise_fall}")
+    if rise_fall >= duration:
+        raise PulseRuleError("rise_fall",
+                             f"rise_fall {rise_fall} must be shorter than duration {duration}")
+    if not 0 <= float(photon_number) < math.inf:
+        raise PulseRuleError("photon_number", f"photon_number must be finite and "
+                                              f"non-negative, got {photon_number}")
+    if not math.isfinite(float(start)):
+        raise PulseRuleError("start", f"start must be finite, got {start}")
+    if rise_fall > 0 and rise_fall < MIN_EDGE_SAMPLES * dt:
+        raise PulseRuleError(
+            "rise_fall", f"rise_fall {rise_fall} under-resolved: needs >= {MIN_EDGE_SAMPLES} "
+                         f"samples of dt = {dt:.3e}")
+    window = t_last - t_first + dt
+    needed = PADDING_FACTOR * duration + PADDING_TAIL
+    if window < needed:
+        raise PulseRuleError(
+            "t_grid", f"time window {window:.3g} too short; need >= {needed:.3g} "
+                      f"({PADDING_FACTOR}x duration + {PADDING_TAIL} tail)")
+    ramp = rise_fall / _EDGE_1090
+    on = start - _EDGE_X50 * ramp                      # leading ramp begins
+    off = start + duration - (1.0 - _EDGE_X50) * ramp  # trailing ramp begins
+    if off < on + ramp:
+        raise PulseRuleError("rise_fall", "edges overlap: duration too short for rise_fall")
+    if on < t_first or off + ramp > t_last:
+        raise PulseRuleError("start", "pulse footprint does not fit inside the time grid")
+    return on, off, ramp
+
+
 def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
                      photon_number=1.0, start=1.0) -> PulseWaveform:
     """Boxcar pulse with raised-cosine edges, normalized to a photon number.
@@ -161,59 +217,26 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
     2.11x longer).  rise_fall = 0 gives an ideal boxcar; a nonzero
     rise_fall must be resolved by at least MIN_EDGE_SAMPLES grid steps.
     The grid must also cover PADDING_FACTOR * duration + PADDING_TAIL so
-    slow decays do not wrap around in the transforms.
+    slow decays do not wrap around in the transforms.  pulse_edges states
+    these rules.
     """
     t = _validate_grid(t_grid, name="time grid")
-    duration = float(duration)
-    rise_fall = float(rise_fall)
-    if not duration > 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if not rise_fall >= 0:
-        raise ValueError(f"rise_fall must be non-negative, got {rise_fall}")
-    if rise_fall >= duration:
-        raise ValueError(f"rise_fall {rise_fall} must be shorter than duration {duration}")
-    if not 0 <= float(photon_number) < math.inf:
-        raise ValueError(f"photon_number must be finite and non-negative, got {photon_number}")
-    _require_finite(start=start)
     dt = t[1] - t[0]
-    if rise_fall > 0 and rise_fall < MIN_EDGE_SAMPLES * dt:
-        raise ValueError(
-            f"rise_fall {rise_fall} under-resolved: needs >= {MIN_EDGE_SAMPLES} samples "
-            f"of dt = {dt:.3e}"
-        )
-    window = t[-1] - t[0] + dt
-    needed = PADDING_FACTOR * duration + PADDING_TAIL
-    if window < needed:
-        raise ValueError(
-            f"time window {window:.3g} too short; need >= {needed:.3g} "
-            f"({PADDING_FACTOR}x duration + {PADDING_TAIL} tail)"
-        )
-
-    if rise_fall > 0:
-        ramp = rise_fall / _EDGE_1090
-        on = start - _EDGE_X50 * ramp                      # leading ramp begins
-        off = start + duration - (1.0 - _EDGE_X50) * ramp  # trailing ramp begins
-        if off < on + ramp:
-            raise ValueError("edges overlap: duration too short for rise_fall")
-        env = np.zeros(t.size)
-        rising = (t >= on) & (t < on + ramp)
-        env[rising] = np.sin(0.5 * math.pi * (t[rising] - on) / ramp) ** 2
-        env[(t >= on + ramp) & (t < off)] = 1.0
-        falling = (t >= off) & (t < off + ramp)
-        env[falling] = np.cos(0.5 * math.pi * (t[falling] - off) / ramp) ** 2
-        footprint = (on, off + ramp)
-    else:
-        env = ((t >= start) & (t < start + duration)).astype(float)
-        footprint = (start, start + duration)
-    if footprint[0] < t[0] or footprint[1] > t[-1]:
-        raise ValueError("pulse footprint does not fit inside the time grid")
+    on, off, ramp = pulse_edges(t[0], t[-1], dt, duration, rise_fall, start, photon_number)
+    # a boxcar's ramps hold no sample
+    env = np.zeros(t.size)
+    rising = (t >= on) & (t < on + ramp)
+    env[rising] = np.sin(0.5 * math.pi * (t[rising] - on) / ramp) ** 2
+    env[(t >= on + ramp) & (t < off)] = 1.0
+    falling = (t >= off) & (t < off + ramp)
+    env[falling] = np.cos(0.5 * math.pi * (t[falling] - off) / ramp) ** 2
 
     energy = float(np.sum(env ** 2) * dt)
     if energy <= 0:
         raise ValueError("pulse footprint contains no grid samples")
     env = env.astype(complex) * math.sqrt(photon_number / energy)
     return PulseWaveform(t, env, float(carrier_detuning), float(photon_number),
-                         switch_off=float(footprint[1]))
+                         switch_off=float(off + ramp))
 
 
 def _require_finite(**values):

@@ -26,13 +26,16 @@ from .fitting import (
     collective_decay_vs_od,
     disorder_averaged_forward,
     ring_multipass,
+    ring_window_end,
     roundtrip_samples,
 )
 from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, od_to_atom_number, resonant_od
 from .pulses import (
+    PulseRuleError,
     atom_dynamics,
     atom_spectra,
     propagate_pulse,
+    pulse_edges,
     strided_power,
     synthesize_pulse,
     time_grid,
@@ -213,6 +216,12 @@ def _given(section, schema, scenario, prefix=""):
     return given
 
 
+# the config field of each synthesize_pulse argument that a PulseRuleError names
+_PULSE_FIELDS = {"t_grid": "grid.points", "duration": "pulse.duration_ns",
+                 "rise_fall": "pulse.rise_fall_ns", "start": "pulse.start_ns",
+                 "photon_number": "pulse.photon_number"}
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Validate a nested config dict (strict keys) into a ScenarioConfig;
     a key the scenario does not read is an error, and its field is None."""
@@ -236,19 +245,27 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     for path, od in ods:
         _require(od_to_atom_number(od, v["beta"]) >= 1, path,
                  f"sizes zero atoms at beta = {v['beta']}, got {od}")
-    _require(v["rise_fall_ns"] < v["duration_ns"], "pulse.rise_fall_ns",
-             "must be shorter than duration_ns")
     points = v["grid_points"]
     _require(points & (points - 1) == 0, "grid.points", "must be a power of two")
+    # synthesize_pulse's rules on time_grid's end points; the two checks
+    # that need arrays (the aliasing guard, an empty boxcar) wait for the run
+    units, dt = Units(v["gamma0_hz"]), math.pi / v["span"]
+
+    def ns(key):
+        return units.time_from_si(v[key] * 1e-9)
+
+    try:
+        _, off, ramp = pulse_edges(0.0, (points - 1) * dt, dt, ns("duration_ns"),
+                                   ns("rise_fall_ns"), ns("start_ns"), v["photon_number"])
+    except PulseRuleError as exc:
+        raise ConfigError(_PULSE_FIELDS[exc.parameter], f"{exc} (times in 1/Gamma0)") from None
     if scenario == "fig5":
         _require(0.0 < v["cavity_t_rt"] <= 1.0, "cavity.t_rt",
                  f"must lie in (0, 1], got {v['cavity_t_rt']}")
         _require(abs(v["cavity_t_c"]) <= 1.0, "cavity.t_c",
                  f"|t_c| must be <= 1, got {v['cavity_t_c']}")
-        # ring_multipass reads the grid up to start + (roundtrips + 1) snapped roundtrips
-        units, dt = Units(v["gamma0_hz"]), math.pi / v["span"]
-        tau = roundtrip_samples(units.time_from_si(v["roundtrip_ns"] * 1e-9), dt) * dt
-        t_end = units.time_from_si(v["start_ns"] * 1e-9) + (v["roundtrips"] + 1) * tau
+        tau = roundtrip_samples(ns("roundtrip_ns"), dt) * dt
+        t_end = ring_window_end(off + ramp, ns("start_ns"), tau, v["roundtrips"], ns("settle_ns"))
         needed = 2 ** math.ceil(math.log2(t_end / dt + 1.0))
         _require(t_end <= (points - 1) * dt, "grid.points",
                  f"the ring window ends at {t_end:.4g} (1/Gamma0), past the grid's "

@@ -194,13 +194,6 @@ def excitation_amplitudes(delta, ensemble: EnsembleSpec):
     return out[:, 0] if np.ndim(delta) == 0 else out
 
 
-# Block lengths of the homogeneous recursion.  With |s| <= 1 each atom
-# scales y by a factor in [(1/2-beta)/(1/2+beta), (1/2+beta)/(1/2-beta)],
-# so a block of K atoms stays inside float range while (1/(1/2-beta))^K
-# does: K = 32 needs 1/2 - beta >= 1e-9, K = 16 any margin above 2e-12.
-_LONG_BLOCK, _LONG_BLOCK_MARGIN, _SHORT_BLOCK = 32, 1e-9, 16
-
-
 # The polynomial form of the homogeneous recursion.  Coefficient j of x
 # and y is bounded by (2 N a_max)^j / j!, so for 2 N a_max (about the OD)
 # up to _POLY_CAP the coefficients stay below ~e^64; a larger 2 N a_max
@@ -224,22 +217,30 @@ _POLY_TOL = 1e-10
 _POLY_TAIL = 1e-20
 
 
-def _recursion(delta, ensemble, eps):
+def _recursion(delta, ensemble):
     """(prod_n t_n, s_1) of the two-way recursion on a checked uniform grid.
 
     Every atom is passive (beta <= 1/2), so the reflection carried from
     the far end keeps |s| <= 1 (to ~1e-12 in floating point) and every
-    denominator has Re den >= 1/2 - beta.  When 1/2 - beta exceeds
-    2 max(eps, RECURSION_EPS) no point can be degenerate, and the
-    division-free recursion runs, as a polynomial where that is certified
-    and as the homogeneous pair elsewhere; otherwise (beta at or next to
-    1/2) the screened one counts the degenerate points and warns.
+    denominator has Re den >= 1/2 - beta.  The one place that picks a path:
+    where 1/2 - beta is at most 2 RECURSION_EPS (beta at or next to 1/2) a
+    point can be degenerate, and the screened recursion counts those and
+    warns.  Otherwise the division-free recursion runs: the homogeneous
+    pair on the whole grid when 2 N a_max exceeds _POLY_CAP, else the
+    certified polynomial, with the homogeneous pair on the points whose
+    bound exceeds _POLY_TOL (it works point by point, so no other point
+    changes).
     """
     margin = 0.5 - ensemble.beta
-    if margin > 2.0 * max(eps, RECURSION_EPS):
-        block = _LONG_BLOCK if margin >= _LONG_BLOCK_MARGIN else _SHORT_BLOCK
-        return _polynomial_recursion(delta, ensemble, block)
-    return _screened_recursion(delta, ensemble, eps)
+    if margin <= 2.0 * RECURSION_EPS:
+        return _screened_recursion(delta, ensemble)
+    if 2 * ensemble.n_atoms * ensemble.beta / margin > _POLY_CAP:
+        return _homogeneous_recursion(delta, ensemble)
+    t_prod, s, bound = _certified_polynomial(delta, ensemble)
+    bad = bound > _POLY_TOL
+    if np.any(bad):
+        t_prod[bad], s[bad] = _homogeneous_recursion(delta[bad], ensemble)
+    return t_prod, s
 
 
 def _truncation_degree(bound, n_atoms):
@@ -302,23 +303,6 @@ def _point_degrees(abs_z, bound, n_atoms):
     return np.array(table)[shift]
 
 
-def _polynomial_recursion(delta, ensemble, block):
-    """(prod_n t_n, s_1) from the pair (x, y) as polynomials, where certified.
-
-    Points whose bound from _certified_polynomial exceeds _POLY_TOL, or the
-    whole grid when 2 N a_max exceeds _POLY_CAP, run the homogeneous
-    recursion with the given block; it works point by point, so no other
-    point changes.
-    """
-    if 2 * ensemble.n_atoms * ensemble.beta / (0.5 - ensemble.beta) > _POLY_CAP:
-        return _homogeneous_recursion(delta, ensemble, block)
-    t_prod, s, bound = _certified_polynomial(delta, ensemble)
-    bad = bound > _POLY_TOL
-    if np.any(bad):
-        t_prod[bad], s[bad] = _homogeneous_recursion(delta[bad], ensemble, block)
-    return t_prod, s
-
-
 def _certified_polynomial(delta, ensemble):
     """(prod_n t_n, s_1, bound): the homogeneous recursion as a polynomial in z.
 
@@ -367,7 +351,7 @@ def _certified_polynomial(delta, ensemble):
     return t_prod, s, bound
 
 
-def _homogeneous_recursion(delta, ensemble, block):
+def _homogeneous_recursion(delta, ensemble):
     """(prod_n t_n, s_1) with the reflection carried as the pair s = x / y.
 
     Dividing the Moebius step s_n = ((num - beta) s - beta e) / (num + beta
@@ -376,9 +360,12 @@ def _homogeneous_recursion(delta, ensemble, block):
 
         p = a (x + e y),  x <- x - p,  y <- y + p / e,
 
-    and t_n = y_old / y_new telescopes.  Every `block` atoms, and after the
+    and t_n = y_old / y_new telescopes.  Every 16 atoms, and after the
     last, the pair is rescaled to y = 1 and 1/y folded into the
-    transmission: the only divisions.
+    transmission: the only divisions.  With |s| <= 1 each atom scales y by
+    a factor in [(1/2-beta)/(1/2+beta), (1/2+beta)/(1/2-beta)], so a block
+    of 16 atoms stays inside float range for any 1/2 - beta above 2e-12,
+    the least with which _recursion runs it.
     """
     x = np.zeros(delta.size, dtype=complex)
     y = np.ones(delta.size, dtype=complex)
@@ -394,19 +381,19 @@ def _homogeneous_recursion(delta, ensemble, block):
         x -= p
         p *= e_plus.conjugate()
         y += p
-        if count % block == 0 or n == 0:
+        if count % 16 == 0 or n == 0:
             t_prod /= y
             x /= y
             y.fill(1.0)
     return t_prod, x
 
 
-def _screened_recursion(delta, ensemble, eps):
+def _screened_recursion(delta, ensemble):
     """(prod_n t_n, s_1) by the direct step, one division per atom.
 
-    Screens every denominator against eps, counts the degenerate points
-    and warns at the caller of transfer_bidirectional; the path for beta
-    at or near 1/2.
+    Screens every denominator against RECURSION_EPS, counts the
+    degenerate points and warns at the caller of transfer_bidirectional;
+    the path for beta at or near 1/2.
     """
     base = 0.5 + 1j * delta
     s = np.zeros(delta.size, dtype=complex)
@@ -421,11 +408,11 @@ def _screened_recursion(delta, ensemble, eps):
         den = ratio + base
         # |den| >= |Re den|, so a passing screen proves no point is degenerate;
         # only a failing one pays for the exact moduli.
-        if eps > 0 and float(np.abs(den.real).min()) < eps:
+        if float(np.abs(den.real).min()) < RECURSION_EPS:
             den_mod = np.abs(den)
             small_min = float(den_mod.min())
-            if small_min < eps:
-                degenerate += int(np.count_nonzero(den_mod < eps))
+            if small_min < RECURSION_EPS:
+                degenerate += int(np.count_nonzero(den_mod < RECURSION_EPS))
                 min_den = min(min_den, small_min)
         ratio += b
         ratio /= den
@@ -438,14 +425,14 @@ def _screened_recursion(delta, ensemble, eps):
     if degenerate:
         warnings.warn(
             f"{degenerate} grid point(s) with scattering denominator below "
-            f"{eps:g} (min |den| = {min_den:.3e})",
+            f"{RECURSION_EPS:g} (min |den| = {min_den:.3e})",
             DegenerateDenominatorWarning,
             stacklevel=4,
         )
     return t_prod, s
 
 
-def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
+def transfer_bidirectional(delta, ensemble: EnsembleSpec):
     """Ensemble transmission and reflection from the two-way recursion.
 
     Solving from the far end (open boundary, excitation from one side)
@@ -458,11 +445,11 @@ def transfer_bidirectional(delta, ensemble: EnsembleSpec, eps=RECURSION_EPS):
     with theta_n the stored positional phase.  Returns the pair
     (transmission, reflection) = (prod_n t_n, s_1) as TransferSpectrum on
     delta, any uniform grid, checked once for both.  Degenerate denominators
-    (modulus < eps) trigger a DegenerateDenominatorWarning; the values are
-    still computed.
+    (modulus < RECURSION_EPS) trigger a DegenerateDenominatorWarning; the
+    values are still computed.
     """
     delta = _uniform_grid(delta)
-    t_prod, s = _recursion(delta, ensemble, eps)
+    t_prod, s = _recursion(delta, ensemble)
     return _response(delta, t_prod), _response(delta, s)
 
 

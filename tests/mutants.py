@@ -148,6 +148,34 @@ MUTANTS = (
      "_response(delta, t_prod), _response(delta, s)",
      "_response(delta, t_prod), _response(delta, s / max(1.0, np.abs(s).max()))",
      ("tests/test_spectra.py::TestBidirectional::test_each_response_checked_for_passivity",)),
+    ("the homogeneous pair is rescaled after the last atom only, not every 16",
+     "src/waveqed/spectra.py",
+     "if count % 16 == 0 or n == 0:",
+     "if n == 0:",
+     ("tests/test_spectra.py::TestHomogeneousRecursion::"
+      "test_finite_and_passive_next_to_full_coupling",)),
+    ("the homogeneous pair skips T's update in its last block",
+     "src/waveqed/spectra.py",
+     "            t_prod /= y\n",
+     "            t_prod /= y if n else 1.0\n",
+     ("tests/test_spectra.py::TestPolynomialRecursion::"
+      "test_matches_homogeneous_recursion_at_fig4_size",)),
+    ("the ring window ends with the output table, before the last flash fit",
+     "src/waveqed/fitting.py",
+     "    return max(start + (roundtrips + 1) * tau,\n"
+     "               switch_off + roundtrips * tau + settle_delay + FLASH_WINDOW)\n",
+     "    return start + (roundtrips + 1) * tau\n",
+     ("tests/test_scenarios.py::TestConfigParsing::test_fig5_grid_must_hold_the_ring_window",)),
+    ("the screen counts points by |Re den|, not |den|",
+     "src/waveqed/spectra.py",
+     "degenerate += int(np.count_nonzero(den_mod < RECURSION_EPS))",
+     "degenerate += int(np.count_nonzero(np.abs(den.real) < RECURSION_EPS))",
+     ("tests/test_spectra.py::TestBidirectional::test_degenerate_denominators_counted",)),
+    ("the screen counts one point per atom with any degenerate point",
+     "src/waveqed/spectra.py",
+     "degenerate += int(np.count_nonzero(den_mod < RECURSION_EPS))",
+     "degenerate += 1",
+     ("tests/test_spectra.py::TestBidirectional::test_degenerate_denominators_counted",)),
 )
 
 

@@ -138,9 +138,9 @@ def test_c4_single_atom_limit():
                              carrier_detuning=0.0, photon_number=2.0)
     ens = EnsembleSpec.uniform(1, BETA)
     out = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(), ens))
-    fit_out = fit_pulse_decay(out.t, out.power(), pulse.switch_off, 30 * NS)
+    fit_out = fit_pulse_decay(out.t, out.power(), pulse.switch_off, 30 * NS, NS)
     p_first = np.abs(np.fft.ifft(next(atom_spectra(pulse, ens)))) ** 2
-    fit_atom = fit_pulse_decay(pulse.t, p_first, pulse.switch_off, 30 * NS)
+    fit_atom = fit_pulse_decay(pulse.t, p_first, pulse.switch_off, 30 * NS, NS)
     assert fit_out.rate == pytest.approx(1.0, rel=5e-3)
     assert fit_atom.rate == pytest.approx(1.0, rel=5e-3)
     report(4, f"transmitted rate {fit_out.rate:.6f}, first-atom rate "

@@ -28,7 +28,7 @@ from waveqed import (
 )
 from waveqed import fitting, scenarios
 from waveqed.disorder import sample_configuration
-from waveqed.fitting import FLASH_WINDOW, SETTLE_DELAY
+from waveqed.fitting import FLASH_WINDOW
 
 UNITS = Units()
 NS = UNITS.time_from_si(1e-9)
@@ -134,7 +134,7 @@ class TestBackwardSweep:
         pulse = synthesize_pulse(time_grid(256.0, 2 ** 12), 3.0, 0.2)
         sweep = backward_decay_sweep(pulse, 1, [0.0], 0.0055, n_configs=2, seed=1,
                                      forward_window=WINDOW_SHORT, backward_window=WINDOW_LONG,
-                                     settle_delay=SETTLE_DELAY)
+                                     settle_delay=NS)
         assert sweep[0].forward.rate == pytest.approx(1.0, rel=5e-3)
         assert sweep[0].backward.rate == pytest.approx(1.0, rel=5e-3)
 
@@ -164,9 +164,9 @@ def per_carrier_reference(carriers, n_configs, seed):
         mean, _ = average_observable(model, n_configs, both_directions)
         traces.append(mean)
         rates.append([fit_initial_decay(pulse.t, mean[0], pulse.switch_off,
-                                        WINDOW_SHORT).rate,
+                                        WINDOW_SHORT, NS).rate,
                       fit_initial_decay(pulse.t, mean[1], pulse.switch_off,
-                                        WINDOW_LONG).rate])
+                                        WINDOW_LONG, NS).rate])
     return np.array(traces), np.array(rates)
 
 
@@ -194,14 +194,14 @@ class TestSharedGridSweep:
 
         calls = []
 
-        def counted(delta, ens, *args, **kwargs):
+        def counted(delta, ens):
             calls.append(len(delta))
-            return transfer_bidirectional(delta, ens, *args, **kwargs)
+            return transfer_bidirectional(delta, ens)
 
         monkeypatch.setattr(fitting, "transfer_bidirectional", counted)
         sweep = backward_decay_sweep(small_pulses(carriers[:1])[0], SMALL_ATOMS, carriers,
                                      SMALL_BETA, n_configs, seed, WINDOW_SHORT, WINDOW_LONG,
-                                     SETTLE_DELAY)
+                                     NS)
         assert len(calls) == n_configs * n_groups
         rates = np.array([[r.forward.rate, r.backward.rate] for r in sweep])
         assert np.all(np.abs(rates / ref_rates - 1.0) <= 1e-12)

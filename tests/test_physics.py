@@ -205,11 +205,11 @@ def _fit(**overrides):
     pytest.param("amplitude", lambda: _fit(amplitude=math.inf), id="fit-amplitude-inf"),
     pytest.param("rms_residual", lambda: _fit(rms_residual=NAN), id="fit-rms-nan"),
     pytest.param("rms_residual", lambda: _fit(rms_residual=math.inf), id="fit-rms-inf"),
-    pytest.param("window_len", lambda: fit_pulse_decay(_T, _DECAY, 1.0, NAN),
+    pytest.param("window_len", lambda: fit_pulse_decay(_T, _DECAY, 1.0, NAN, 0.0),
                  id="fit-window_len-nan"),
-    pytest.param("window_cap", lambda: fit_initial_decay(_T, _DECAY, 1.0, NAN),
+    pytest.param("window_cap", lambda: fit_initial_decay(_T, _DECAY, 1.0, NAN, 0.0),
                  id="fit-window_cap-nan"),
-    pytest.param("t_off", lambda: fit_pulse_decay(_T, _DECAY, NAN, 1.0), id="fit-t_off-nan"),
+    pytest.param("t_off", lambda: fit_pulse_decay(_T, _DECAY, NAN, 1.0, 0.0), id="fit-t_off-nan"),
     pytest.param("t_off", lambda: _rate_at_switchoff(t_off=NAN), id="switchoff-t_off-nan"),
     pytest.param("settle_delay", lambda: _rate_at_switchoff(settle_delay=NAN),
                  id="switchoff-settle_delay-nan"),
@@ -273,7 +273,7 @@ def test_numpy_integer_counts_accepted():
 def test_switch_off_may_stay_unknown_and_the_valid_calls_still_run():
     assert replace(_pulse(), switch_off=None).switch_off is None
     assert _rate_at_switchoff() > 0
-    assert fit_initial_decay(_T, _DECAY, 1.0, 1.0).rate == pytest.approx(1.0, rel=1e-6)
+    assert fit_initial_decay(_T, _DECAY, 1.0, 1.0, 0.0).rate == pytest.approx(1.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("build", [

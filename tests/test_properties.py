@@ -15,7 +15,6 @@ from waveqed import (
     time_grid,
     transfer_unidirectional,
 )
-from waveqed.fitting import SETTLE_DELAY
 
 
 def test_edge_shape_sensitivity_is_small():
@@ -33,7 +32,7 @@ def test_edge_shape_sensitivity_is_small():
                                  carrier_detuning=3.8, photon_number=2.0)
         out = propagate_pulse(pulse, transfer_unidirectional(pulse.detunings(), ens))
         fit = fit_initial_decay(out.t, out.power(), pulse.switch_off,
-                                window, SETTLE_DELAY)
+                                window, units.time_from_si(1e-9))
         traj = atom_dynamics(pulse, ens)
         rates.append(fit.rate)
         gammas.append(collective_rate_at_switchoff(traj, pulse.switch_off))

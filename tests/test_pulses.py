@@ -207,7 +207,7 @@ class TestAtomDynamics:
         dur, rise = 150 * NS, 0.85 * NS
         pulse = synthesize_pulse(time_grid(1024.0, 2 ** 15), dur, rise, photon_number=2.0)
         p_1 = populations(pulse, EnsembleSpec.uniform(1, 0.0055))[0]
-        fit = fit_pulse_decay(pulse.t, p_1, pulse.switch_off, 30 * NS)
+        fit = fit_pulse_decay(pulse.t, p_1, pulse.switch_off, 30 * NS, NS)
         assert fit.rate == pytest.approx(1.0, rel=5e-3)
 
     def test_matches_ode_cascade(self):

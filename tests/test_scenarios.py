@@ -203,13 +203,35 @@ class TestConfigParsing:
         ({"scenario": "fig5", "grid": {"points": 2 ** 15}}, 2 ** 16),
         ({"scenario": "fig5", "cavity": {"roundtrips": 13}}, 2 ** 17),
         ({"scenario": "fig5", "pulse": {"start_ns": 1400.0}}, 2 ** 17),
+        # the last flash fit ends past the output table: 103.7 against 100.5
+        ({"scenario": "fig5", "pulse": {"duration_ns": 500.0}, "cavity": {"roundtrips": 12}},
+         2 ** 17),
     ])
     def test_fig5_grid_must_hold_the_ring_window(self, raw, needed):
-        # fig5 reads start + (roundtrips + 1) roundtrips of the grid; a shorter
-        # grid is named, not cropped or wrapped around
+        # fig5 reads the grid up to fitting.ring_window_end: start + (roundtrips
+        # + 1) roundtrips, or the last roundtrip's flash fit if that ends later;
+        # a shorter grid is named, not cropped or wrapped around
         with pytest.raises(ConfigError, match=f"needs >= {needed} points") as excinfo:
             config_from_dict(raw)
         assert excinfo.value.field == "grid.points"
+
+    @pytest.mark.parametrize("raw, field, message", [
+        # the time window must hold 4 durations and a 20/Gamma0 tail
+        ({"scenario": "custom", "pulse": {"duration_ns": 1000.0}, "grid": {"points": 1024}},
+         "grid.points", "too short"),
+        ({"scenario": "custom", "pulse": {"rise_fall_ns": 0.01}}, "pulse.rise_fall_ns",
+         "under-resolved"),
+        # shorter than duration, but the cos^2 ramps of 1 ns overlap from 0.65 ns on
+        ({"scenario": "fig2", "pulse": {"duration_ns": 1.0, "rise_fall_ns": 0.9}},
+         "pulse.rise_fall_ns", "edges overlap"),
+        ({"scenario": "fig2", "pulse": {"start_ns": 3000.0}}, "pulse.start_ns",
+         "does not fit inside the time grid"),
+    ])
+    def test_pulse_rules_named_at_config_time(self, raw, field, message):
+        # the rules of synthesize_pulse, by its own code, before any array exists
+        with pytest.raises(ConfigError, match=message) as excinfo:
+            config_from_dict(raw)
+        assert excinfo.value.field == field
 
     def test_default_configs_pinned(self):
         # recorded from the built-in defaults: a renamed key, a changed
@@ -612,6 +634,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["field"] == "output.directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing ran
+
+    def test_sweep_checks_every_points_pulse_before_any_runs(self, tmp_path, capsys):
+        # 700 ns needs a longer time window than the grid's 50: named before 90 ns runs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_custom(tmp_path / "sweep")))
+        assert main(["sweep", "--config", str(path), "--param", "pulse.duration_ns",
+                     "--values", "90,700"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["field"] == "grid.points"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing ran
 
     def test_sweep_rejects_a_key_the_scenario_does_not_read(self, tmp_path, capsys):

@@ -258,29 +258,40 @@ class TestBidirectional:
         assert np.allclose(t_a.amplitude, t_b.amplitude, rtol=1e-12)
         assert np.allclose(np.abs(r_a.amplitude), np.abs(r_b.amplitude), rtol=1e-12)
 
-    def test_degenerate_denominators_counted(self):
+    def test_degenerate_denominators_counted(self, monkeypatch):
         # two fully coupled atoms at equal phases: the recursion's denominators
         # are 1/2 + i delta (far atom) and i delta (1 + i delta) / (1/2 + i delta)
         # (near atom), which vanishes at delta = 0
         g = detuning_grid(4.0, 64)
         ens = EnsembleSpec.uniform(2, 0.5)
         base = 0.5 + 1j * g
-        moduli = np.concatenate([np.abs(base), np.abs(1j * g * (1.0 + 1j * g) / base)])
-        eps = 0.3
-        expected = int(np.count_nonzero(moduli < eps))
-        assert expected == 3
-        message = re.escape(f"{expected} grid point(s) with scattering denominator below 0.3 "
-                            f"(min |den| = {moduli[moduli < eps].min():.3e})")
+        den = np.concatenate([base, 1j * g * (1.0 + 1j * g) / base])
+        moduli = np.abs(den)
+        degenerate = moduli < RECURSION_EPS
+        assert np.count_nonzero(degenerate) == 1
+        message = re.escape(f"1 grid point(s) with scattering denominator below 1e-12 "
+                            f"(min |den| = {moduli[degenerate].min():.3e})")
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.warns(DegenerateDenominatorWarning, match=f"^{message}$") as record:
-                transfer_bidirectional(g, ens, eps=eps)
-            with pytest.warns(DegenerateDenominatorWarning, match=r"^1 grid point"):
                 t_spec, _ = transfer_bidirectional(g, ens)
         at_zero = g == 0.0
         assert np.all(np.isnan(t_spec.amplitude[at_zero]))
         assert np.all(np.isfinite(t_spec.amplitude[~at_zero]))
         # the warning points at the caller of transfer_bidirectional
         assert [w.filename for w in record] == [__file__]
+
+        # a wider floor flags several points by their modulus, some of which
+        # have |Re den| below the floor but |den| above it
+        floor = 0.3
+        monkeypatch.setattr(spectra, "RECURSION_EPS", floor)
+        degenerate = moduli < floor
+        assert np.count_nonzero(degenerate) == 3
+        assert np.count_nonzero(np.abs(den.real) < floor) > 3
+        message = re.escape(f"3 grid point(s) with scattering denominator below 0.3 "
+                            f"(min |den| = {moduli[degenerate].min():.3e})")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.warns(DegenerateDenominatorWarning, match=f"^{message}$"):
+                transfer_bidirectional(g, ens)
 
 
 def default_configuration(scenario, index=0):
@@ -303,8 +314,8 @@ class TestHomogeneousRecursion:
     def test_matches_screened_loop_at_fig4_size(self):
         grid, ens = default_configuration("fig4")
         assert (ens.n_atoms, grid.size) == (1175, 16428)
-        t_prod, s = _recursion(grid, ens, RECURSION_EPS)
-        t_ref, s_ref = _screened_recursion(grid, ens, RECURSION_EPS)
+        t_prod, s = _recursion(grid, ens)
+        t_ref, s_ref = _screened_recursion(grid, ens)
         assert np.max(np.abs(t_prod - t_ref)) <= 1e-13
         assert np.max(np.abs(s - s_ref)) <= 1e-13
 
@@ -321,7 +332,7 @@ class TestHomogeneousRecursion:
         assert calls == [0.5 - 1e-12, 0.5]
 
     def test_matches_transfer_matrix_on_random_chains(self):
-        # up to 130 atoms, so four or more rescaled blocks of 32
+        # up to 130 atoms, so seven or more rescaled blocks of 16
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         grid = np.linspace(-19.5, 19.5, 64)
@@ -333,7 +344,7 @@ class TestHomogeneousRecursion:
         def law(params):
             beta, phase = params[0], np.array(params[1])
             sizes.append(phase.size)
-            t_prod, s = _recursion(grid, EnsembleSpec(beta, phase), RECURSION_EPS)
+            t_prod, s = _recursion(grid, EnsembleSpec(beta, phase))
             t_ref, s_ref = transfer_matrix_solution(grid, np.full(phase.size, beta), phase)
             assert np.max(np.abs(t_prod - t_ref)) <= 1e-12
             assert np.max(np.abs(s - s_ref)) <= 1e-12
@@ -341,7 +352,7 @@ class TestHomogeneousRecursion:
         settings = hypothesis.settings(derandomize=True, max_examples=50, deadline=None,
                                        database=None)
         settings(hypothesis.given(chain))(law)()
-        assert max(sizes) > 3 * 32
+        assert max(sizes) > 6 * 16
 
     @pytest.mark.parametrize("margin", [1e-9, 3e-12])
     def test_finite_and_passive_next_to_full_coupling(self, margin):
@@ -351,7 +362,7 @@ class TestHomogeneousRecursion:
         n = 2000
         ens = EnsembleSpec(0.5 - margin, rng.uniform(0.0, 2 * math.pi, n))
         g = detuning_grid(64.0, 4096)
-        t_prod, s = _recursion(g, ens, RECURSION_EPS)
+        t_prod, s = _recursion(g, ens)
         assert np.all(np.isfinite(t_prod)) and np.all(np.isfinite(s))
         assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
 
@@ -405,8 +416,8 @@ class TestPolynomialRecursion:
 
     def test_matches_homogeneous_recursion_at_fig4_size(self):
         grid, ens = default_configuration("fig4")
-        t_prod, s = _recursion(grid, ens, RECURSION_EPS)
-        t_ref, s_ref = _homogeneous_recursion(grid, ens, 32)
+        t_prod, s = _recursion(grid, ens)
+        t_ref, s_ref = _homogeneous_recursion(grid, ens)
         assert np.max(np.abs(t_prod - t_ref) / np.abs(t_ref)) <= 1e-12
         assert np.max(np.abs(s - s_ref)) <= 1e-12
 
@@ -504,7 +515,7 @@ class TestPolynomialRecursion:
         assert 2 * ens.n_atoms * ens.beta / (0.5 - ens.beta) > spectra._POLY_CAP
         grid = detuning_grid(40.0, 256)
         calls = self.spy(monkeypatch)
-        _recursion(grid, ens, RECURSION_EPS)
+        _recursion(grid, ens)
         assert len(calls) == 1 and np.array_equal(calls[0], grid)
 
     def test_fallback_on_the_points_that_fail_the_bound(self, monkeypatch):
@@ -515,9 +526,9 @@ class TestPolynomialRecursion:
         bad = bound > spectra._POLY_TOL
         assert 0 < np.count_nonzero(bad) < grid.size // 10
         calls = self.spy(monkeypatch)
-        t_prod, s = _recursion(grid, ens, RECURSION_EPS)
+        t_prod, s = _recursion(grid, ens)
         assert len(calls) == 1 and np.array_equal(calls[0], grid[bad])
-        t_ref, s_ref = _homogeneous_recursion(grid[bad], ens, 32)
+        t_ref, s_ref = _homogeneous_recursion(grid[bad], ens)
         assert np.array_equal(t_prod[bad], t_ref) and np.array_equal(s[bad], s_ref)
         assert np.array_equal(t_prod[~bad], t_poly[~bad])
         assert np.array_equal(s[~bad], s_poly[~bad])
@@ -527,7 +538,7 @@ class TestPolynomialRecursion:
         calls = self.spy(monkeypatch)
         for index in range(2):
             grid, ens = default_configuration(scenario, index)
-            _recursion(grid, ens, RECURSION_EPS)
+            _recursion(grid, ens)
         assert calls == []
 
 
@@ -728,7 +739,7 @@ class TestRandomChainLaws:
 
         def law(params):
             beta, phase = params[0], np.array(params[1])
-            t_prod, s = _recursion(self.GRID, EnsembleSpec(beta, phase), RECURSION_EPS)
+            t_prod, s = _recursion(self.GRID, EnsembleSpec(beta, phase))
             assert np.max(np.abs(s)) <= 1.0 + 1e-12
             assert np.max(np.abs(t_prod) ** 2 + np.abs(s) ** 2) <= 1.0 + 1e-12
 
