@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it at import, not in a run)
 
-from .physics import BETA_DEFAULT, EnsembleSpec, _require_integer
+from .physics import BETA_DEFAULT, EnsembleSpec, _require_beta, _require_integer
 
 CHUNK_SIZE = 64  # configurations per reduction chunk; fixed for determinism
 
@@ -40,21 +40,14 @@ class DisorderModel:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integer("n_atoms", self.n_atoms)
-        _require_integer("seed", self.seed)
-        if self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be positive, got {self.n_atoms}")
-        if not 0.0 < self.beta_mean <= 0.5:
-            raise ValueError("beta_mean must lie in (0, 0.5]")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _require_integer("n_atoms", self.n_atoms, least=1)
+        _require_beta(self.beta_mean, "beta_mean")
+        _require_integer("seed", self.seed, least=0)
 
 
 def sample_configuration(model: DisorderModel, index: int) -> EnsembleSpec:
     """Deterministic configuration number ``index`` of the disorder model."""
-    index = _require_integer("configuration index", index)
-    if index < 0:
-        raise ValueError(f"configuration index must be non-negative, got {index}")
+    index = _require_integer("configuration index", index, least=0)
     rng = np.random.default_rng(np.random.SeedSequence((model.seed, index)))
     return EnsembleSpec(beta=model.beta_mean,
                         phase=rng.uniform(0.0, 2.0 * math.pi, model.n_atoms))
@@ -83,12 +76,8 @@ def average_observable(model: DisorderModel, n_configs: int, observable,
     and of evaluation order by construction: the chunk layout depends only
     on n_configs (about 32 chunks, at most CHUNK_SIZE configurations each).
     """
-    n_configs = _require_integer("n_configs", n_configs)
-    n_workers = _require_integer("n_workers", n_workers)
-    if n_configs < 1:
-        raise ValueError("n_configs must be positive")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be positive, got {n_workers}")
+    n_configs = _require_integer("n_configs", n_configs, least=1)
+    n_workers = _require_integer("n_workers", n_workers, least=1)
     chunk_size = max(1, min(CHUNK_SIZE, -(-n_configs // 32)))
     first = np.asarray(observable(sample_configuration(model, 0)))
     shape = first.shape

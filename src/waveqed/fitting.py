@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderModel, average_observable
-from .physics import EnsembleSpec, single_atom_coefficients
-from .pulses import _require_finite, atom_dynamics, collective_rate_at_switchoff, propagate_pulse
+from .physics import EnsembleSpec, _require_finite, _require_positive, single_atom_coefficients
+from .pulses import atom_dynamics, collective_rate_at_switchoff, propagate_pulse
 from .spectra import TransferSpectrum, transfer_bidirectional, transfer_unidirectional
 
 FLASH_WINDOW = 0.1                             # fit window (1/Gamma0) for the initial flash
@@ -42,11 +42,9 @@ class DecayFit:
     residuals: np.ndarray
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"fitted rate must lie in (0, inf), got {self.rate}")
-        if not math.isfinite(self.amplitude):
-            raise ValueError(f"fitted amplitude must be finite, got {self.amplitude}")
+        _require_positive("rate", self.rate)
+        _require_finite(amplitude=self.amplitude)
+        # written so that NaN fails
         if not self.window[1] > self.window[0]:
             raise ValueError("fit window must be increasing")
         if not 0 <= self.rms_residual < math.inf:
@@ -69,11 +67,10 @@ def fit_pulse_decay(t, power, t_off, window_len, settle_delay, min_points=8) -> 
     if t.shape != power.shape:
         raise ValueError("time and power traces must have matching shapes")
     _require_finite(t_off=t_off, settle_delay=settle_delay)
-    if not 0 < float(window_len) < math.inf:
-        raise ValueError(f"window_len must be finite and positive, got {window_len}")
+    window_len = _require_positive("window_len", window_len)
     start = float(t_off) + float(settle_delay)
     i0 = int(np.searchsorted(t, start, side="right"))
-    i1 = int(np.searchsorted(t, start + float(window_len), side="right"))
+    i1 = int(np.searchsorted(t, start + window_len, side="right"))
     if i1 - i0 < min_points:
         raise ValueError(
             f"fit window [{start:.4g}, {start + window_len:.4g}] holds "
@@ -387,14 +384,13 @@ def fit_initial_decay(t, power, t_off, window_cap, settle_delay) -> DecayFit:
     fast collective decays it keeps the window on the initial flash instead
     of the later ringing structure.
     """
-    if not 0 < float(window_cap) < math.inf:
-        raise ValueError(f"window_cap must be finite and positive, got {window_cap}")
+    window_cap = _require_positive("window_cap", window_cap)
     dt = float(np.asarray(t)[1] - np.asarray(t)[0])
     floor = MIN_INITIAL_POINTS * dt
-    window = min(float(window_cap), max(BOOTSTRAP_WINDOW, floor))
+    window = min(window_cap, max(BOOTSTRAP_WINDOW, floor))
     fit = fit_pulse_decay(t, power, t_off, window, settle_delay, min_points=MIN_INITIAL_POINTS)
     for _ in range(FIT_PASSES - 1):
-        window = min(float(window_cap), max(FIT_CYCLES / fit.rate, floor))
+        window = min(window_cap, max(FIT_CYCLES / fit.rate, floor))
         fit = fit_pulse_decay(t, power, t_off, window, settle_delay,
                               min_points=MIN_INITIAL_POINTS)
     return fit

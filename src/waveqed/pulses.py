@@ -16,14 +16,15 @@ from functools import cached_property
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import, not in a run)
 
-from .physics import EnsembleSpec
-from .spectra import (
-    TransferSpectrum,
-    _cascade_amplitudes,
+from .physics import (
+    EnsembleSpec,
+    InputError,
     _grid_length,
+    _require_finite,
+    _require_positive,
     _validate_grid,
-    transfer_unidirectional,
 )
+from .spectra import TransferSpectrum, _cascade_amplitudes, transfer_unidirectional
 
 # Raised-cosine (cos^2 amplitude) edge geometry: fractions of the full ramp
 # at which the instantaneous power crosses 10%, 50% and 90%.
@@ -48,46 +49,30 @@ def time_grid(span, n):
     evaluated on ``PulseWaveform.detunings()``.
     """
     n = _grid_length(n)
-    if not 0 < float(span) < math.inf:
-        raise ValueError(f"span must be finite and positive, got {span}")
-    return np.arange(n) * (math.pi / float(span))
+    return np.arange(n) * (math.pi / _require_positive("span", span))
 
 
 @dataclass(frozen=True)
 class PulseWaveform:
     """Complex baseband field envelope on a uniform time grid.
 
-    photon_number is the pulse energy in units of hbar*omega; the envelope
-    is normalized so that sum(|envelope|^2) * dt reproduces it.  switch_off
-    marks the instant the trailing edge completes (None if unknown).
+    |envelope|^2 is a photon flux, so the photon number (the pulse energy in
+    units of hbar*omega) is sum(|envelope|^2) * dt, which must be finite.
+    switch_off marks the instant the trailing edge completes (None if unknown).
     """
 
     t: np.ndarray
     envelope: np.ndarray
     carrier_detuning: float
-    photon_number: float
     switch_off: float | None = None
 
     def __post_init__(self):
         t = _validate_grid(self.t, name="time grid")
-        envelope = np.asarray(self.envelope, dtype=complex)
-        if envelope.shape != t.shape:
-            raise ValueError("time grid and envelope must have matching shapes")
-        if not 0 <= self.photon_number < math.inf:
-            raise ValueError(f"photon_number must be finite and non-negative, "
-                             f"got {self.photon_number}")
-        if not math.isfinite(self.carrier_detuning):
-            raise ValueError(f"carrier_detuning must be finite, got {self.carrier_detuning}")
-        if self.switch_off is not None and not math.isfinite(self.switch_off):
-            raise ValueError(f"switch_off must be finite or None, got {self.switch_off}")
-        energy = _energy(envelope, t[1] - t[0])
-        # written so that a NaN envelope fails
-        if not abs(energy - self.photon_number) <= 1e-9 * max(self.photon_number, 1e-300):
-            raise ValueError(
-                f"envelope energy {energy} inconsistent with photon_number {self.photon_number}"
-            )
+        _require_finite(carrier_detuning=self.carrier_detuning)
+        if self.switch_off is not None:
+            _require_finite(switch_off=self.switch_off)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "envelope", envelope)
+        object.__setattr__(self, "envelope", _envelope_on(t, self.envelope))
 
     @property
     def dt(self) -> float:
@@ -130,18 +115,12 @@ class PulseWaveform:
     def with_envelope(self, envelope) -> PulseWaveform:
         """Another envelope on this pulse's time grid, carrier and switch_off.
 
-        The grid was checked when this pulse was built, so only the shape
-        and a finite energy are; the photon number is that energy.
+        The grid was checked when this pulse was built, so only the
+        envelope is.
         """
-        envelope = np.asarray(envelope, dtype=complex)
-        if envelope.shape != self.t.shape:
-            raise ValueError("time grid and envelope must have matching shapes")
-        energy = _energy(envelope, self.dt)
-        if not energy < math.inf:  # NaN fails too
-            raise ValueError(f"envelope energy must be finite, got {energy}")
         pulse = object.__new__(PulseWaveform)
-        vars(pulse).update(t=self.t, envelope=envelope, carrier_detuning=self.carrier_detuning,
-                           photon_number=energy, switch_off=self.switch_off)
+        vars(pulse).update(t=self.t, envelope=_envelope_on(self.t, envelope),
+                           carrier_detuning=self.carrier_detuning, switch_off=self.switch_off)
         return pulse
 
     def power(self):
@@ -151,17 +130,10 @@ class PulseWaveform:
     def energy(self) -> float:
         return _energy(self.envelope, self.dt)
 
-
-class PulseRuleError(ValueError):
-    """A pulse parameter that breaks a rule of synthesize_pulse.
-
-    parameter names the synthesize_pulse argument at fault ("t_grid" for a
-    time window too short), so a config can name its own field.
-    """
-
-    def __init__(self, parameter, message):
-        self.parameter = parameter
-        super().__init__(message)
+    @property
+    def photon_number(self) -> float:
+        """The pulse energy in units of hbar*omega, which the envelope fixes."""
+        return self.energy()
 
 
 def pulse_edges(t_first, t_last, dt, duration, rise_fall, start, photon_number):
@@ -170,41 +142,39 @@ def pulse_edges(t_first, t_last, dt, duration, rise_fall, start, photon_number):
     The leading cos^2 ramp begins at on and the trailing one at off, each
     lasting ramp (0 for a boxcar); the pulse switches off at off + ramp.
     The grid enters by its first and last sample and its step, so a config
-    is checked before any array exists.  Raises PulseRuleError.  The
-    aliasing guard needs the pulse's FFT and runs when its spectrum is
-    first read.
+    is checked before any array exists.  Raises InputError.  Two rules
+    need the pulse's arrays: a boxcar must hold a grid sample
+    (synthesize_pulse), and the aliasing guard, which needs the pulse's
+    FFT, runs when its spectrum is first read.
     """
-    duration = float(duration)
+    duration = _require_positive("duration", duration)
     rise_fall = float(rise_fall)
-    if not duration > 0:
-        raise PulseRuleError("duration", f"duration must be positive, got {duration}")
     if not rise_fall >= 0:
-        raise PulseRuleError("rise_fall", f"rise_fall must be non-negative, got {rise_fall}")
+        raise InputError("rise_fall", f"rise_fall must be non-negative, got {rise_fall}")
     if rise_fall >= duration:
-        raise PulseRuleError("rise_fall",
-                             f"rise_fall {rise_fall} must be shorter than duration {duration}")
+        raise InputError("rise_fall",
+                         f"rise_fall {rise_fall} must be shorter than duration {duration}")
     if not 0 <= float(photon_number) < math.inf:
-        raise PulseRuleError("photon_number", f"photon_number must be finite and "
-                                              f"non-negative, got {photon_number}")
-    if not math.isfinite(float(start)):
-        raise PulseRuleError("start", f"start must be finite, got {start}")
+        raise InputError("photon_number", f"photon_number must be finite and "
+                                          f"non-negative, got {photon_number}")
+    _require_finite(start=start)
     if rise_fall > 0 and rise_fall < MIN_EDGE_SAMPLES * dt:
-        raise PulseRuleError(
+        raise InputError(
             "rise_fall", f"rise_fall {rise_fall} under-resolved: needs >= {MIN_EDGE_SAMPLES} "
                          f"samples of dt = {dt:.3e}")
     window = t_last - t_first + dt
     needed = PADDING_FACTOR * duration + PADDING_TAIL
     if window < needed:
-        raise PulseRuleError(
+        raise InputError(
             "t_grid", f"time window {window:.3g} too short; need >= {needed:.3g} "
                       f"({PADDING_FACTOR}x duration + {PADDING_TAIL} tail)")
     ramp = rise_fall / _EDGE_1090
     on = start - _EDGE_X50 * ramp                      # leading ramp begins
     off = start + duration - (1.0 - _EDGE_X50) * ramp  # trailing ramp begins
     if off < on + ramp:
-        raise PulseRuleError("rise_fall", "edges overlap: duration too short for rise_fall")
+        raise InputError("rise_fall", "edges overlap: duration too short for rise_fall")
     if on < t_first or off + ramp > t_last:
-        raise PulseRuleError("start", "pulse footprint does not fit inside the time grid")
+        raise InputError("start", "pulse footprint does not fit inside the time grid")
     return on, off, ramp
 
 
@@ -233,22 +203,25 @@ def synthesize_pulse(t_grid, duration, rise_fall, carrier_detuning=0.0,
 
     energy = float(np.sum(env ** 2) * dt)
     if energy <= 0:
-        raise ValueError("pulse footprint contains no grid samples")
+        raise InputError("duration", "the boxcar holds no grid sample: duration too short")
     env = env.astype(complex) * math.sqrt(photon_number / energy)
-    return PulseWaveform(t, env, float(carrier_detuning), float(photon_number),
-                         switch_off=float(off + ramp))
-
-
-def _require_finite(**values):
-    """Raise a ValueError naming the first of values that is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(float(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
+    return PulseWaveform(t, env, float(carrier_detuning), switch_off=float(off + ramp))
 
 
 def _energy(envelope, dt) -> float:
     """The photon number sum |envelope|^2 dt, in one pass."""
     return float(np.vdot(envelope, envelope).real) * float(dt)
+
+
+def _envelope_on(t, envelope):
+    """envelope as a complex array on the checked grid t, of finite energy."""
+    envelope = np.asarray(envelope, dtype=complex)
+    if envelope.shape != t.shape:
+        raise ValueError("time grid and envelope must have matching shapes")
+    energy = _energy(envelope, t[1] - t[0])
+    if not energy < math.inf:  # NaN fails too
+        raise InputError("envelope", f"envelope energy must be finite, got {energy}")
+    return envelope
 
 
 def _read_only(array):
@@ -257,6 +230,8 @@ def _read_only(array):
 
 
 def _check_alias(pulse: PulseWaveform, spectrum):
+    """The aliasing guard.  The edges set a pulse's spectral tails, so a
+    break names rise_fall (an ideal boxcar, rise_fall 0, breaks it)."""
     power = np.abs(spectrum) ** 2
     total = float(np.sum(power))
     if total == 0.0:
@@ -264,10 +239,10 @@ def _check_alias(pulse: PulseWaveform, spectrum):
     outer = np.abs(pulse.omega) >= (1.0 - ALIAS_BAND) * (math.pi / pulse.dt)
     fraction = float(np.sum(power[outer]) / total)
     if fraction > ALIAS_TOL:
-        raise ValueError(
-            f"aliasing guard: {fraction:.3e} of the spectral energy sits in the "
-            f"outermost {ALIAS_BAND:.0%} of the frequency window (limit {ALIAS_TOL:g})"
-        )
+        raise InputError(
+            "rise_fall", f"aliasing guard: {fraction:.3e} of the spectral energy sits in "
+                         f"the outermost {ALIAS_BAND:.0%} of the frequency window "
+                         f"(limit {ALIAS_TOL:g})")
 
 
 def propagate_pulse(pulse: PulseWaveform, medium: TransferSpectrum) -> PulseWaveform:

@@ -29,10 +29,19 @@ from .fitting import (
     ring_window_end,
     roundtrip_samples,
 )
-from .physics import BETA_DEFAULT, GAMMA0_HZ, EnsembleSpec, Units, od_to_atom_number, resonant_od
+from .physics import (
+    BETA_DEFAULT,
+    GAMMA0_HZ,
+    CavitySpec,
+    EnsembleSpec,
+    InputError,
+    Units,
+    _calibration_beta,
+    _grid_length,
+    od_to_atom_number,
+    resonant_od,
+)
 from .pulses import (
-    PulseRuleError,
-    atom_dynamics,
     atom_spectra,
     propagate_pulse,
     pulse_edges,
@@ -40,7 +49,7 @@ from .pulses import (
     synthesize_pulse,
     time_grid,
 )
-from .spectra import CavitySpec, transfer_unidirectional
+from .spectra import transfer_unidirectional
 
 SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "s1", "custom")
 
@@ -216,10 +225,17 @@ def _given(section, schema, scenario, prefix=""):
     return given
 
 
-# the config field of each synthesize_pulse argument that a PulseRuleError names
-_PULSE_FIELDS = {"t_grid": "grid.points", "duration": "pulse.duration_ns",
-                 "rise_fall": "pulse.rise_fall_ns", "start": "pulse.start_ns",
-                 "photon_number": "pulse.photon_number"}
+# the config field of each parameter that an InputError from the config's rules names
+_FIELDS = {"beta": "beta", "grid length": "grid.points", "t_grid": "grid.points",
+           "duration": "pulse.duration_ns", "rise_fall": "pulse.rise_fall_ns",
+           "start": "pulse.start_ns", "photon_number": "pulse.photon_number",
+           "t_rt": "cavity.t_rt", "t_c": "cavity.t_c", "tau_rt": "cavity.roundtrip_ns",
+           "phi0": "cavity.phi0"}
+
+
+def _config_error(exc: InputError) -> ConfigError:
+    """An InputError as a ConfigError naming the field its parameter came from."""
+    return ConfigError(_FIELDS[exc.parameter], f"{exc} (times in 1/Gamma0)")
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
@@ -235,7 +251,23 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     v = {f.name: _check_value(flat[f.metadata["path"]], f.metadata)
          if f.metadata["path"] in flat else None for f in fields(ScenarioConfig)}
 
-    _require(0.0 < v["beta"] < 0.5, "beta", f"must lie in (0, 0.5), got {v['beta']}")
+    # the library's rules on what the config builds; the two pulse rules
+    # that need arrays (a boxcar's one sample, the aliasing guard) wait for the run
+    units, dt = Units(v["gamma0_hz"]), math.pi / v["span"]
+
+    def ns(key):
+        return units.time_from_si(v[key] * 1e-9)
+
+    points = v["grid_points"]
+    try:
+        _calibration_beta(v["beta"])
+        _grid_length(points)
+        _, off, ramp = pulse_edges(0.0, (points - 1) * dt, dt, ns("duration_ns"),
+                                   ns("rise_fall_ns"), ns("start_ns"), v["photon_number"])
+        if scenario == "fig5":
+            CavitySpec(v["cavity_t_rt"], v["cavity_t_c"], ns("roundtrip_ns"), v["cavity_phi0"])
+    except InputError as exc:
+        raise _config_error(exc) from None
     if "od" in flat:
         _require((v["od"] is None) != (v["n_atoms"] is None), "od",
                  "exactly one of od / n_atoms must be set")
@@ -245,25 +277,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     for path, od in ods:
         _require(od_to_atom_number(od, v["beta"]) >= 1, path,
                  f"sizes zero atoms at beta = {v['beta']}, got {od}")
-    points = v["grid_points"]
-    _require(points & (points - 1) == 0, "grid.points", "must be a power of two")
-    # synthesize_pulse's rules on time_grid's end points; the two checks
-    # that need arrays (the aliasing guard, an empty boxcar) wait for the run
-    units, dt = Units(v["gamma0_hz"]), math.pi / v["span"]
-
-    def ns(key):
-        return units.time_from_si(v[key] * 1e-9)
-
-    try:
-        _, off, ramp = pulse_edges(0.0, (points - 1) * dt, dt, ns("duration_ns"),
-                                   ns("rise_fall_ns"), ns("start_ns"), v["photon_number"])
-    except PulseRuleError as exc:
-        raise ConfigError(_PULSE_FIELDS[exc.parameter], f"{exc} (times in 1/Gamma0)") from None
     if scenario == "fig5":
-        _require(0.0 < v["cavity_t_rt"] <= 1.0, "cavity.t_rt",
-                 f"must lie in (0, 1], got {v['cavity_t_rt']}")
-        _require(abs(v["cavity_t_c"]) <= 1.0, "cavity.t_c",
-                 f"|t_c| must be <= 1, got {v['cavity_t_c']}")
         tau = roundtrip_samples(ns("roundtrip_ns"), dt) * dt
         t_end = ring_window_end(off + ramp, ns("start_ns"), tau, v["roundtrips"], ns("settle_ns"))
         needed = 2 ** math.ceil(math.log2(t_end / dt + 1.0))
@@ -377,13 +391,16 @@ def _od(config: ScenarioConfig) -> float:
 
 def _pulse(config: ScenarioConfig, carrier):
     t = time_grid(config.span, config.grid_points)
-    pulse = synthesize_pulse(t, _ns(config, config.duration_ns),
-                             _ns(config, config.rise_fall_ns), carrier_detuning=carrier,
-                             photon_number=config.photon_number,
-                             start=_ns(config, config.start_ns))
-    # the aliasing guard, spectrum and detunings run before the scenario's
-    # work, so the arrays the pulse keeps sit below its temporaries on the heap
-    _ = pulse.spectrum, pulse.detunings()
+    try:
+        pulse = synthesize_pulse(t, _ns(config, config.duration_ns),
+                                 _ns(config, config.rise_fall_ns), carrier_detuning=carrier,
+                                 photon_number=config.photon_number,
+                                 start=_ns(config, config.start_ns))
+        # the aliasing guard, spectrum and detunings run before the scenario's
+        # work, so the arrays the pulse keeps sit below its temporaries on the heap
+        _ = pulse.spectrum, pulse.detunings()
+    except InputError as exc:  # the pulse rules that need arrays
+        raise _config_error(exc) from None
     return pulse
 
 
@@ -399,17 +416,19 @@ def _power_columns(config: ScenarioConfig, t, t_max, powers):
             + [(name, "photons_per_ns", power[idx] * per_ns) for name, power in powers])
 
 
-def _transmitted(config: ScenarioConfig, pulse, power) -> dict:
+def _transmitted(config: ScenarioConfig, pulse, ensemble) -> dict:
+    """The input power and the power the forward cascade transmits."""
+    medium = transfer_unidirectional(pulse.detunings(), ensemble)
     return {"transmitted_power": _power_columns(
         config, pulse.t, pulse.switch_off + _TAIL,
-        [("input_power", pulse.power()), ("transmitted_power", power)])}
+        [("input_power", pulse.power()), ("transmitted_power",
+                                          propagate_pulse(pulse, medium).power())])}
 
 
 def _run_fig2(config: ScenarioConfig) -> dict:
     ens = _ensemble(config)
     pulse = _pulse(config, config.detuning)
-    traj = atom_dynamics(pulse, ens)
-    tables = _transmitted(config, pulse, traj.transmitted_power)
+    tables = _transmitted(config, pulse, ens)
 
     # the traces hold every trace_stride-th grid sample and the colormap every
     # map_stride-th, each only those before switch-off + _TAIL
@@ -505,9 +524,7 @@ def _run_s1(config: ScenarioConfig) -> dict:
 
 
 def _run_custom(config: ScenarioConfig) -> dict:
-    pulse = _pulse(config, config.detuning)
-    medium = transfer_unidirectional(pulse.detunings(), _ensemble(config))
-    return _transmitted(config, pulse, propagate_pulse(pulse, medium).power())
+    return _transmitted(config, _pulse(config, config.detuning), _ensemble(config))
 
 
 _RUNNERS = {

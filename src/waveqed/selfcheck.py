@@ -17,7 +17,7 @@ import numpy as np
 
 from .disorder import DisorderModel, average_observable, sample_configuration
 from .fitting import fit_pulse_decay, ring_multipass
-from .physics import EnsembleSpec
+from .physics import CavitySpec, EnsembleSpec
 from .pulses import (
     atom_dynamics,
     atom_spectra,
@@ -25,12 +25,7 @@ from .pulses import (
     synthesize_pulse,
     time_grid,
 )
-from .spectra import (
-    CavitySpec,
-    detuning_grid,
-    transfer_bidirectional,
-    transfer_unidirectional,
-)
+from .spectra import detuning_grid, transfer_bidirectional, transfer_unidirectional
 
 
 @dataclass(frozen=True)

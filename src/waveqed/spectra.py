@@ -14,7 +14,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .physics import EnsembleSpec, _require_integer, single_atom_coefficients
+from .physics import (
+    CavitySpec,
+    EnsembleSpec,
+    _grid_length,
+    _require_integer,
+    _require_positive,
+    _uniform_grid,
+    single_atom_coefficients,
+)
 
 RECURSION_EPS = 1e-12  # denominator-modulus floor flagged as degenerate
 
@@ -28,47 +36,13 @@ class DegenerateDenominatorWarning(UserWarning):
     """
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _uniform_grid(values, name="detuning grid"):
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if values.size > 1:
-        steps = np.diff(values)
-        # every step within 1e-9 of the first, written so that NaN and Inf fail
-        if not (0 < steps[0] < math.inf and np.abs(steps - steps[0]).max() <= 1e-9 * steps[0]):
-            raise ValueError(f"{name} must be uniform and increasing")
-    return values
-
-
-def _validate_grid(values, name="detuning grid"):
-    """A uniform increasing grid whose length is a power of two (an FFT grid)."""
-    values = _uniform_grid(values, name)
-    if not _is_power_of_two(values.size):
-        raise ValueError(f"{name} length must be a power of two, got {values.size}")
-    return values
-
-
-def _grid_length(n) -> int:
-    """n as an int, if it is an integer (not a bool or a float) and a power of two."""
-    n = _require_integer("grid length", n)
-    if not _is_power_of_two(n):
-        raise ValueError(f"grid length must be a power of two, got {n}")
-    return n
-
-
 def detuning_grid(span, n):
     """Uniform FFT-style grid of n detunings covering [-span, span).
 
     n must be a power of two; the grid contains 0 and has spacing 2*span/n.
     """
     n = _grid_length(n)
-    if not 0 < float(span) < math.inf:
-        raise ValueError(f"span must be finite and positive, got {span}")
-    step = 2.0 * float(span) / n
+    step = 2.0 * _require_positive("span", span) / n
     return (np.arange(n) - n // 2) * step
 
 
@@ -123,9 +97,7 @@ class TransferSpectrum:
         is taken once per response and shared by every such n (an OD sweep
         raises one single-atom response to each OD's atom number).
         """
-        n = _require_integer("exponent", n)
-        if n < 0:
-            raise ValueError(f"exponent must be non-negative, got {n}")
+        n = _require_integer("exponent", n, least=0)
         if n < _LOG_POWER_MIN:
             return _response(self.delta, self.amplitude ** n)
         with np.errstate(invalid="ignore"):  # n (-inf + 0j) has a NaN imaginary part
@@ -451,33 +423,6 @@ def transfer_bidirectional(delta, ensemble: EnsembleSpec):
     delta = _uniform_grid(delta)
     t_prod, s = _recursion(delta, ensemble)
     return _response(delta, t_prod), _response(delta, s)
-
-
-@dataclass(frozen=True)
-class CavitySpec:
-    """Fiber ring resonator enclosing the medium.
-
-    t_rt   : roundtrip amplitude transmission of the passive ring, in (0, 1].
-    t_c    : coupler through-transmission amplitude, |t_c| <= 1.  The printed
-             ring response is passive only for real t_c.
-    tau_rt : roundtrip delay in 1/Gamma0.
-    phi0   : static roundtrip phase at zero detuning, radians.
-    """
-
-    t_rt: float
-    t_c: complex
-    tau_rt: float
-    phi0: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.t_rt <= 1.0:
-            raise ValueError(f"t_rt must lie in (0, 1], got {self.t_rt}")
-        if not abs(self.t_c) <= 1.0 + 1e-12:
-            raise ValueError(f"|t_c| must not exceed 1, got {abs(self.t_c)}")
-        if not 0 < self.tau_rt < math.inf:
-            raise ValueError(f"tau_rt must be finite and positive, got {self.tau_rt}")
-        if not math.isfinite(self.phi0):
-            raise ValueError(f"phi0 must be finite, got {self.phi0}")
 
 
 def transfer_cavity(t_medium: TransferSpectrum, cavity: CavitySpec) -> TransferSpectrum:

@@ -83,9 +83,9 @@ MUTANTS = (
      ("tests/test_scenarios.py::TestRunScenario::"
       "test_write_csv_failing_mid_table_keeps_the_old_file",)),
     ("the n_workers check lets 0 workers pass",
-     "src/waveqed/disorder.py",
-     "if n_workers < 1:",
-     "if n_workers < 0:",
+     "src/waveqed/physics.py",
+     "if least is not None and value < least:",
+     "if least is not None and value < least - 1:",
      ("tests/test_physics.py::test_non_positive_counts_rejected_naming_the_parameter",)),
     ("each point's degree read from the bottom of its |z| bin, not the top",
      "src/waveqed/spectra.py",
@@ -133,8 +133,8 @@ MUTANTS = (
      ("tests/test_pulses.py::TestPropagate::test_union_grid_window_equals_the_sliced_response",)),
     ("with_envelope lets a NaN energy pass",
      "src/waveqed/pulses.py",
-     "        if not energy < math.inf:  # NaN fails too\n"
-     "            raise ValueError(f\"envelope energy must be finite, got {energy}\")\n",
+     "    if not energy < math.inf:  # NaN fails too\n"
+     "        raise InputError(\"envelope\", f\"envelope energy must be finite, got {energy}\")\n",
      "",
      ("tests/test_pulses.py::TestPropagate::test_nan_response_rejected",)),
     ("TransferSpectrum ** n leaves exp(-inf + NaN j) where the amplitude is 0",
@@ -176,6 +176,27 @@ MUTANTS = (
      "degenerate += int(np.count_nonzero(den_mod < RECURSION_EPS))",
      "degenerate += 1",
      ("tests/test_spectra.py::TestBidirectional::test_degenerate_denominators_counted",)),
+    ("the coupling rule rejects beta = 1/2",
+     "src/waveqed/physics.py",
+     "0.0 < beta <= 0.5",
+     "0.0 < beta < 0.5",
+     ("tests/test_physics.py::TestSingleAtom::test_full_coupling_extinction",)),
+    ("the field table swaps cavity.t_rt and cavity.t_c",
+     "src/waveqed/scenarios.py",
+     '"t_rt": "cavity.t_rt", "t_c": "cavity.t_c"',
+     '"t_rt": "cavity.t_c", "t_c": "cavity.t_rt"',
+     ("tests/test_scenarios.py::TestConfigParsing::test_each_broken_rule_names_its_field",)),
+    ("the boxcar mapping is removed: a run's pulse rules raise the InputError unmapped",
+     "src/waveqed/scenarios.py",
+     "        raise _config_error(exc) from None\n    return pulse\n",
+     "        raise\n    return pulse\n",
+     ("tests/test_scenarios.py::TestRunScenario::"
+      "test_boxcar_breaking_the_aliasing_guard_names_rise_fall",)),
+    ("numpy.random is loaded by the first run, not by the import",
+     "src/waveqed/disorder.py",
+     "import numpy.random  # noqa: F401",
+     "import numpy  # noqa: F401",
+     ("tests/test_scenarios.py::test_import_loads_no_scipy_and_runs_import_nothing",)),
 )
 
 

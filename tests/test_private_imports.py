@@ -2,8 +2,9 @@
 
 Each kernel has one entry point, its public function, which checks its
 inputs; a private name imported across modules is an unchecked side door.
-The input checks themselves are shared, and so is the cascade's running
-product, which spectra.excitation_amplitudes and pulses.atom_spectra both use.
+The input rules themselves are shared, each stated once in physics.py, and
+so is the cascade's running product, which spectra.excitation_amplitudes
+and pulses.atom_spectra both use.
 """
 
 import ast
@@ -12,7 +13,10 @@ import pytest
 
 from test_numpy_compat import SOURCES
 
-SHARED = frozenset({"_require_integer", "_require_finite", "_validate_grid", "_grid_length",
+# the input rules of physics.py that other modules call, and the cascade's
+# running product, defined in spectra.py
+SHARED = frozenset({"_require_integer", "_require_finite", "_require_positive", "_require_beta",
+                    "_calibration_beta", "_grid_length", "_uniform_grid", "_validate_grid",
                     "_cascade_amplitudes"})
 
 
@@ -60,3 +64,19 @@ def test_the_scan_finds_private_imports(source, expected):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_sources_import_only_public_or_shared_names(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _defined(path):
+    """The names that a source defines at module level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))} | {
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_each_shared_rule_is_defined_in_physics_alone():
+    # a rule written again in another module, and imported from there, fails here
+    homes = {name: sorted(p.name for p in SOURCES if name in _defined(p)) for name in SHARED}
+    assert homes == {name: ["spectra.py" if name == "_cascade_amplitudes" else "physics.py"]
+                     for name in SHARED}

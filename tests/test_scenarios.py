@@ -92,6 +92,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"scenario": "custom", "beta": 0.5}, "beta"),
+        ({"scenario": "custom", "beta": 0.0}, "beta"),
+        ({"scenario": "custom", "beta": float("nan")}, "beta"),
+        ({"scenario": "fig5", "cavity": {"t_rt": 0.0}}, "cavity.t_rt"),
+        ({"scenario": "fig5", "cavity": {"t_rt": 1.5}}, "cavity.t_rt"),
+        ({"scenario": "fig5", "cavity": {"t_c": 1.5}}, "cavity.t_c"),
+        ({"scenario": "custom", "grid": {"points": 3000}}, "grid.points"),
+        ({"scenario": "custom", "od": 1e-4}, "od"),
+    ])
+    def test_each_broken_rule_names_its_field(self, raw, field):
+        # the rules are the library's (physics); the config maps each to its field
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(raw)
+        assert excinfo.value.field == field
+
+    def test_every_mapped_parameter_is_a_config_field(self):
+        paths = {f.metadata["path"] for f in fields(ScenarioConfig)}
+        assert set(scenarios._FIELDS.values()) <= paths
+
     def test_out_of_range_values(self):
         with pytest.raises(ConfigError, match="beta"):
             config_from_dict({"scenario": "fig2", "beta": 0.7})
@@ -334,6 +354,15 @@ class TestRunScenario:
         rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, k)]
         assert path.read_text() == "\n".join(["# scenario: custom", "x,k", *rows]) + "\n"
 
+    @pytest.mark.parametrize("scenario", ["custom", "fig2"])
+    def test_boxcar_breaking_the_aliasing_guard_names_rise_fall(self, tmp_path, scenario):
+        # rise_fall_ns 0 (an ideal boxcar) passes the config: the guard needs the FFT
+        config = config_from_dict({"scenario": scenario, "pulse": {"rise_fall_ns": 0},
+                                   "output": {"directory": str(tmp_path / "out")}})
+        with pytest.raises(ConfigError, match="aliasing guard") as excinfo:
+            run_scenario(config)
+        assert excinfo.value.field == "pulse.rise_fall_ns"
+
     def test_write_csv_without_columns_raises_a_value_error(self, tmp_path):
         with pytest.raises(ValueError, match="at least one column"):
             scenarios.write_csv(tmp_path / "t.csv", "custom", [])
@@ -398,10 +427,10 @@ class TestRunScenario:
         monkeypatch.undo()
 
         # one walk of the cascade: one transform per atom at the colormap's
-        # stride, one more per labeled atom, and the propagation and energy solve
+        # stride, one more per labeled atom, and the propagation
         labels = [1, ens.n_atoms]  # the default atoms 1, 100 and 600, clipped
         assert len(drawn) <= ens.n_atoms
-        assert Counter(transforms) == Counter({pulse.t.size: 2}) + Counter(
+        assert Counter(transforms) == Counter({pulse.t.size: 1}) + Counter(
             {map_points: ens.n_atoms}) + Counter({trace_points: len(labels)})
 
         # p_n(t) at every grid sample, from the cascade amplitudes of spectra
@@ -528,8 +557,9 @@ print(json.dumps({"scipy": scipy, "run": sorted(set(sys.modules) - before)}))
 def test_import_loads_no_scipy_and_runs_import_nothing(tmp_path):
     # scipy.signal costs about 1 s of start-up; a module that a run loads lazily
     # lands inside the run's time instead of the import's
+    # the waveqed this process imports, which the mutation gate points at a mutated copy
     tests = Path(__file__).resolve().parent
-    paths = [str(tests.parent / "src"), str(tests)]
+    paths = [str(Path(scenarios.__file__).resolve().parents[1]), str(tests)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -602,6 +632,20 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["field"] == field
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"scenario": "fig5", "cavity": {"t_c": 1.5}}, "cavity.t_c"),
+        # a boxcar passes the config; its spectrum breaks the aliasing guard in the run
+        ({"scenario": "custom", "pulse": {"rise_fall_ns": 0}}, "pulse.rise_fall_ns"),
+    ])
+    def test_run_names_the_field_of_a_library_rule(self, tmp_path, capsys, raw, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["field"] == field
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing written
 
     @pytest.mark.parametrize("overrides, flags, field", [
         ({"pulse": 5}, [], "pulse"),
